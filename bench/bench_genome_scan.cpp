@@ -26,7 +26,8 @@
 // machine context — the same refusal pattern as cross-ISA ratios.
 //
 // Flags: --engine sync|async, --concurrent-windows N,
-// --prefilter-workers M (0 = hardware), --reps R.
+// --prefilter-workers M (threads scoring LD windows, the calling thread
+// included; 0 = hardware), --reps R.
 // Results land in BENCH_genome_scan.json with the shared machine
 // context so CI can judge comparability.
 #include <algorithm>

@@ -10,7 +10,10 @@
 //   3. EM E-step pair  — weighted_pair_products + scale_values on a
 //      phase-fan-sized gather;
 //   4. CLUMP           — chi_columns 2×2 scan + pearson_row_terms;
-//   5. batched shapes  — batch_weighted_pair_products on a short-fan ×
+//   5. pair block      — pair_block_counts over one LD-prefilter window
+//      (64 SNPs × 300 individuals, every row of the pair triangle),
+//      reported as pairs/ns: the prefilter sweep's counting ceiling;
+//   6. batched shapes  — batch_weighted_pair_products on a short-fan ×
 //      many-lane SoA block and batch_chi_columns + batch_pearson_2xn
 //      on one replicate sub-batch: the shapes the candidate-batched
 //      evaluation actually dispatches, and the measurements the
@@ -56,6 +59,11 @@ constexpr std::size_t kBatchFan = 8;
 constexpr std::size_t kBatchSupport = 64;
 constexpr std::size_t kBatchCols = 32;
 constexpr std::size_t kBatchReps = 64;
+// One prefilter window: 64 SNPs over 300 individuals (5 words), both
+// masked planes, SNP-major rows and word-major columns.
+constexpr std::size_t kBlockSnps = 64;
+constexpr std::size_t kBlockWords = 5;
+constexpr double kBlockPairs = kBlockSnps * (kBlockSnps - 1) / 2.0;
 
 struct Inputs {
   std::vector<std::uint64_t> parent, lo, hi, out;
@@ -64,6 +72,8 @@ struct Inputs {
   std::vector<double> batch_freq, batch_products, batch_sums;
   std::vector<std::uint32_t> bh1, bh2;
   std::vector<double> rep_top, rep_bottom, rep_out, rep_col_sums, rep_pearson;
+  std::vector<std::uint64_t> block_rows, block_cols;
+  std::vector<std::uint32_t> block_counts;
 };
 
 Inputs make_inputs() {
@@ -117,6 +127,11 @@ Inputs make_inputs() {
   for (double& v : in.rep_top) v = 30.0 * rng.uniform();
   for (double& v : in.rep_bottom) v = 30.0 * rng.uniform();
   for (double& v : in.rep_col_sums) v = 10.0 + 20.0 * rng.uniform();
+  in.block_rows.resize(2 * kBlockSnps * kBlockWords);
+  in.block_cols.resize(2 * kBlockWords * kBlockSnps);
+  for (auto& w : in.block_rows) w = rng();
+  for (auto& w : in.block_cols) w = rng();
+  in.block_counts.resize(4 * kBlockSnps);
   return in;
 }
 
@@ -143,6 +158,34 @@ double time_ns(std::size_t reps, Fn&& fn) {
 
 volatile double g_sink = 0.0;
 
+/// Every row of one window's pair triangle: row a against the block
+/// of SNPs (a, 64) in the word-major columns. Returns a checksum over
+/// every count when `every_count`, else a cheap one (the timed path).
+std::uint64_t pair_block_sweep(const util::SimdKernels& kernels,
+                               const Inputs& in, Inputs& mut,
+                               bool every_count) {
+  const std::uint64_t* lo_rows = in.block_rows.data();
+  const std::uint64_t* hi_rows = lo_rows + kBlockSnps * kBlockWords;
+  const std::uint64_t* lo_cols = in.block_cols.data();
+  const std::uint64_t* hi_cols = lo_cols + kBlockWords * kBlockSnps;
+  std::uint64_t checksum = 0;
+  for (std::size_t a = 0; a + 1 < kBlockSnps; ++a) {
+    const std::size_t n = kBlockSnps - a - 1;
+    kernels.pair_block_counts(lo_rows + a * kBlockWords,
+                              hi_rows + a * kBlockWords, lo_cols + a + 1,
+                              hi_cols + a + 1, kBlockSnps, kBlockWords, n,
+                              mut.block_counts.data());
+    if (!every_count) {
+      checksum += mut.block_counts[0] + mut.block_counts[4 * n - 1];
+      continue;
+    }
+    for (std::size_t k = 0; k < 4 * n; ++k) {
+      checksum = checksum * 31 + mut.block_counts[k];
+    }
+  }
+  return checksum;
+}
+
 struct LevelTimes {
   double popcount_ns = 0.0;
   double planes_ns = 0.0;
@@ -150,6 +193,7 @@ struct LevelTimes {
   double clump_ns = 0.0;
   double batch_em_ns = 0.0;
   double batch_clump_ns = 0.0;
+  double pair_block_ns = 0.0;
 };
 
 LevelTimes run_level(const util::SimdKernels& kernels, const Inputs& in,
@@ -199,6 +243,10 @@ LevelTimes run_level(const util::SimdKernels& kernels, const Inputs& in,
                               brow0, brow1, btotal, mut.rep_pearson.data());
     g_sink = g_sink + mut.rep_pearson[0];
   });
+  t.pair_block_ns = time_ns(400, [&] {
+    g_sink = g_sink + static_cast<double>(
+        pair_block_sweep(kernels, in, mut, false));
+  });
   return t;
 }
 
@@ -230,6 +278,11 @@ void check_equivalence(const util::SimdKernels& scalar,
       kWords, mut.out.data());
   if (count_ref != count_vec || ref != mut.out) {
     std::fprintf(stderr, "FATAL: %s combine_planes_count mismatch\n", name);
+    std::exit(1);
+  }
+  if (pair_block_sweep(scalar, in, mut, true) !=
+      pair_block_sweep(vec, in, mut, true)) {
+    std::fprintf(stderr, "FATAL: %s pair_block_counts mismatch\n", name);
     std::exit(1);
   }
   // FP kernels: 1e-9 relative.
@@ -275,15 +328,17 @@ int main() {
   std::fprintf(json,
                "  \"workload\": \"%zu-word planes, %zu-pair E-step, "
                "%zu-column CLUMP scan; batched: %zu lanes x %zu-pair "
-               "E-step, %zu reps x %zu-column CLUMP\",\n",
+               "E-step, %zu reps x %zu-column CLUMP; pair block: %zu-SNP "
+               "window x %zu words\",\n",
                kWords, kPairs, kColumns, kBatchLanes, kBatchFan, kBatchReps,
-               kBatchCols);
+               kBatchCols, kBlockSnps, kBlockWords);
 
   LevelTimes scalar_times;
   double best_popcount_speedup = 1.0;
   double best_planes_speedup = 1.0;
   double best_batch_em_speedup = 1.0;
   double best_batch_clump_speedup = 1.0;
+  double best_pair_block_speedup = 1.0;
   std::string best_level = "scalar";
   for (const util::SimdLevel level : levels) {
     const util::SimdKernels& kernels = util::simd_kernels_for(level);
@@ -301,27 +356,34 @@ int main() {
       best_planes_speedup = planes_speedup;
       best_batch_em_speedup = scalar_times.batch_em_ns / t.batch_em_ns;
       best_batch_clump_speedup = scalar_times.batch_clump_ns / t.batch_clump_ns;
+      best_pair_block_speedup = scalar_times.pair_block_ns / t.pair_block_ns;
       best_level = name;
     }
     std::printf(
         "%-7s popcount %7.0f ns (%5.2fx)  planes %7.0f ns (%5.2fx)  "
         "em %7.0f ns (%5.2fx)  clump %7.0f ns (%5.2fx)\n"
-        "        batch-em %6.0f ns (%5.2fx)  batch-clump %7.0f ns (%5.2fx)\n",
+        "        batch-em %6.0f ns (%5.2fx)  batch-clump %7.0f ns (%5.2fx)  "
+        "pair-block %.2f pairs/ns (%5.2fx)\n",
         name, t.popcount_ns, popcount_speedup, t.planes_ns, planes_speedup,
         t.em_ns, scalar_times.em_ns / t.em_ns, t.clump_ns,
         scalar_times.clump_ns / t.clump_ns, t.batch_em_ns,
         scalar_times.batch_em_ns / t.batch_em_ns, t.batch_clump_ns,
-        scalar_times.batch_clump_ns / t.batch_clump_ns);
+        scalar_times.batch_clump_ns / t.batch_clump_ns,
+        kBlockPairs / t.pair_block_ns,
+        scalar_times.pair_block_ns / t.pair_block_ns);
     std::fprintf(json,
                  "  \"%s_popcount_ns\": %.1f,\n"
                  "  \"%s_planes_ns\": %.1f,\n"
                  "  \"%s_em_estep_ns\": %.1f,\n"
                  "  \"%s_clump_ns\": %.1f,\n"
                  "  \"%s_batch_em_ns\": %.1f,\n"
-                 "  \"%s_batch_clump_ns\": %.1f,\n",
+                 "  \"%s_batch_clump_ns\": %.1f,\n"
+                 "  \"%s_pair_block_ns\": %.1f,\n"
+                 "  \"%s_pair_block_pairs_per_ns\": %.3f,\n",
                  name, t.popcount_ns, name, t.planes_ns, name, t.em_ns,
                  name, t.clump_ns, name, t.batch_em_ns, name,
-                 t.batch_clump_ns);
+                 t.batch_clump_ns, name, t.pair_block_ns, name,
+                 kBlockPairs / t.pair_block_ns);
   }
 
   std::fprintf(json,
@@ -329,11 +391,12 @@ int main() {
                "  \"popcount_speedup\": %.3f,\n"
                "  \"planes_speedup\": %.3f,\n"
                "  \"batch_em_speedup\": %.3f,\n"
-               "  \"batch_clump_speedup\": %.3f\n"
+               "  \"batch_clump_speedup\": %.3f,\n"
+               "  \"pair_block_speedup\": %.3f\n"
                "}\n",
                best_level.c_str(), best_popcount_speedup,
                best_planes_speedup, best_batch_em_speedup,
-               best_batch_clump_speedup);
+               best_batch_clump_speedup, best_pair_block_speedup);
   std::fclose(json);
   std::printf("\nwrote BENCH_simd_kernels.json (best vector level: %s)\n",
               best_level.c_str());

@@ -1,7 +1,7 @@
 // Genome-scale scan: the full data path beyond the paper's 249-SNP
 // "larger files" experiments. A 20,000-SNP synthetic panel is streamed
 // into an on-disk packed genotype store chunk by chunk, memory-mapped
-// back, swept by the tiled composite-LD prefilter, and the top-ranked
+// back, swept by the composite-LD prefilter, and the top-ranked
 // windows are searched by the windowed GA driver — the multipopulation
 // engine runs inside each window against a column slice of the store,
 // migrating elite haplotypes into overlapping windows' warm starts.
@@ -15,10 +15,15 @@
 //                             bit-exact reference, anything else runs
 //                             the pipelined scheduler and overlaps the
 //                             prefilter with the GA stage
-//   --prefilter-workers N     LD-sweep worker threads [1; 0 = hardware]
+//   --prefilter-workers N     threads scoring LD windows, the calling
+//                             thread included [1; 0 = hardware]
 //   --keep N                  windows that get a GA run [4]
 //   --snps N                  synthetic panel width [20000]
 //   --seed S                  scan seed [3]
+//   --store PATH              where the synthetic panel is written
+//                             [<temp dir>/ldga_genome_scan_<pid>.pgs]
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -42,9 +47,11 @@ int main(int argc, char** argv) {
                         "'");
     }
 
-    const std::string store_path =
-        (std::filesystem::temp_directory_path() / "ldga_genome_scan.pgs")
-            .string();
+    // Per-process default, so concurrent runs never share a file.
+    const std::string store_path = args.get(
+        "store", (std::filesystem::temp_directory_path() /
+                  ("ldga_genome_scan_" + std::to_string(::getpid()) + ".pgs"))
+                     .string());
 
     // --- 1. Stream a synthetic panel to disk. The first 64 markers are
     // the signal chunk carrying a planted 3-SNP risk haplotype; the rest

@@ -50,8 +50,9 @@ enum class PipelineMode : std::uint8_t {
 };
 
 struct GenomePipelineConfig {
-  /// LD sweep knobs; `prefilter.workers` is the sweep's pool
-  /// (the --prefilter-workers of the CLI tools).
+  /// LD sweep knobs; `prefilter.workers` is the number of threads
+  /// scoring windows, the caller included (the --prefilter-workers of
+  /// the CLI tools).
   LdPrefilterConfig prefilter;
   /// Windowed GA knobs; `scan.engine` / `scan.concurrent_windows`
   /// govern the GA stage in both modes.

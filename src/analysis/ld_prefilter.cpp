@@ -1,6 +1,7 @@
 #include "analysis/ld_prefilter.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <optional>
@@ -15,9 +16,6 @@ using genomics::PairLd;
 using genomics::SnpIndex;
 
 void LdPrefilterConfig::validate() const {
-  if (tile_snps == 0) {
-    throw ConfigError("LdPrefilterConfig: tile_snps must be >= 1");
-  }
   if (!(strong_r2 >= 0.0 && strong_r2 <= 1.0)) {
     throw ConfigError("LdPrefilterConfig: strong_r2 must be in [0, 1]");
   }
@@ -45,8 +43,10 @@ void valid_mask(std::span<const std::uint64_t> lo,
   }
 }
 
-/// The nine popcounts of one pair, reduced to composite LD. `joint`
-/// and `tmp` are word scratch (words each).
+/// The nine popcounts of one pair, reduced to composite LD: the
+/// per-pair reference behind composite_pair_ld, kept independent of
+/// the sweep's hoisted arithmetic so tests can hold the sweep to it.
+/// `joint` and `tmp` are word scratch (words each).
 PairLd pair_ld_from_planes(const util::SimdKernels& kernels,
                            const std::uint64_t* lo_a,
                            const std::uint64_t* hi_a,
@@ -100,35 +100,6 @@ PairLd pair_ld_from_planes(const util::SimdKernels& kernels,
   return ld;
 }
 
-/// One window's plane pointers and valid masks, gathered once so the
-/// pair loops make no virtual calls.
-struct WindowPlanes {
-  std::vector<const std::uint64_t*> lo;
-  std::vector<const std::uint64_t*> hi;
-  std::vector<std::uint64_t> valid;  ///< count × words
-
-  WindowPlanes(const genomics::GenotypeStore& store,
-               const ga::WindowSpec& window,
-               std::span<const std::uint64_t> everyone) {
-    const std::size_t words = everyone.size();
-    lo.reserve(window.count);
-    hi.reserve(window.count);
-    valid.resize(static_cast<std::size_t>(window.count) * words);
-    for (std::uint32_t s = 0; s < window.count; ++s) {
-      const auto lo_span = store.low_plane(window.begin + s);
-      const auto hi_span = store.high_plane(window.begin + s);
-      lo.push_back(lo_span.data());
-      hi.push_back(hi_span.data());
-      valid_mask(lo_span, hi_span, everyone,
-                 valid.data() + static_cast<std::size_t>(s) * words);
-    }
-  }
-
-  const std::uint64_t* valid_of(std::uint32_t s, std::size_t words) const {
-    return valid.data() + static_cast<std::size_t>(s) * words;
-  }
-};
-
 }  // namespace
 
 PairLd composite_pair_ld(const genomics::GenotypeStore& store, SnpIndex a,
@@ -154,47 +125,265 @@ PairLd composite_pair_ld(const genomics::GenotypeStore& store, SnpIndex a,
 
 namespace {
 
-/// One tile's accumulators. Tiles are summed independently and reduced
-/// in fixed tile order, so the sweep's scores do not depend on which
-/// thread ran which tile — or on whether a pool ran at all.
-struct TilePartial {
-  double sum_r2 = 0.0;
-  double sum_dprime = 0.0;
-  double max_r2 = 0.0;
-  std::uint64_t pairs = 0;
-  std::uint64_t strong = 0;
+/// One locus's dosage terms over n jointly-typed individuals: the
+/// doubles pair_ld_from_planes derives per pair, operation for
+/// operation. For a fully typed locus they are per-SNP constants.
+struct DosageTerms {
+  double mean = 0.0;
+  double var = 0.0;
+  double p = 0.0;  ///< dosage allele frequency
+  double q = 0.0;  ///< 1 − p
 };
 
-/// A tile of the upper-triangle (a, b) index square of one window.
-struct TileSpec {
-  std::uint32_t ta = 0;
-  std::uint32_t tb = 0;
-};
+DosageTerms dosage_terms(double n, double c_lo, double c_hi) {
+  const double s = c_lo + 2.0 * c_hi;   // Σ g  (g = lo + 2·hi)
+  const double sq = c_lo + 4.0 * c_hi;  // Σ g²
+  DosageTerms terms;
+  terms.mean = s / n;
+  terms.var = sq / n - terms.mean * terms.mean;
+  terms.p = s / (2.0 * n);
+  terms.q = 1.0 - terms.p;
+  return terms;
+}
 
-TilePartial sweep_tile(const util::SimdKernels& kernels,
-                       const WindowPlanes& planes, std::uint32_t count,
-                       std::uint32_t tile, const TileSpec& spec,
-                       std::size_t words, double strong_r2,
-                       std::uint64_t* joint, std::uint64_t* tmp) {
-  TilePartial partial;
-  const std::uint32_t a_end = std::min(spec.ta + tile, count);
-  const std::uint32_t b_end = std::min(spec.tb + tile, count);
-  for (std::uint32_t a = spec.ta; a < a_end; ++a) {
-    const std::uint32_t b_first = std::max(a + 1, spec.tb);
-    for (std::uint32_t b = b_first; b < b_end; ++b) {
-      const PairLd ld = pair_ld_from_planes(
-          kernels, planes.lo[a], planes.hi[a], planes.valid_of(a, words),
-          planes.lo[b], planes.hi[b], planes.valid_of(b, words), words, joint,
-          tmp);
-      ++partial.pairs;
-      partial.sum_r2 += ld.r2;
-      partial.sum_dprime += ld.d_prime;
-      partial.max_r2 = std::max(partial.max_r2, ld.r2);
-      if (ld.r2 >= strong_r2) ++partial.strong;
+/// Composite LD from both loci's terms and Σ g_a·g_b over the same n
+/// individuals — the tail of pair_ld_from_planes, bit for bit.
+PairLd ld_from_terms(const DosageTerms& a, const DosageTerms& b, double n,
+                     double s_ab) {
+  PairLd ld;
+  if (a.var <= 0.0 || b.var <= 0.0) return ld;  // monomorphic in V
+  const double cov = s_ab / n - a.mean * b.mean;
+  ld.r2 = std::min((cov * cov) / (a.var * b.var), 1.0);
+  ld.d = cov / 2.0;
+  const double d_max = ld.d >= 0.0 ? std::min(a.p * b.q, b.p * a.q)
+                                   : std::min(a.p * b.p, a.q * b.q);
+  ld.d_prime = d_max > 0.0 ? std::min(std::abs(ld.d) / d_max, 1.0) : 0.0;
+  return ld;
+}
+
+/// std::min by value — the same (b < a ? b : a) selection, in a form
+/// the vectorizer can turn into a lane blend.
+inline double min_of(double a, double b) { return b < a ? b : a; }
+
+/// Plane indices of the masked per-SNP planes.
+enum Plane : std::size_t { kLo = 0, kHi = 1, kValid = 2, kPlanes = 3 };
+
+/// One scoring thread's window sweep and its scratch. The window's
+/// planes are masked by validity once per SNP (lo' = lo∧V, hi' = hi∧V,
+/// so a missing call encodes as (0, 0) and cnt(V_a∧V_b∧x_a∧y_b) =
+/// cnt(x'_a∧y'_b)), then kept in two layouts: SNP-major rows for the
+/// left SNP of each pair and word-major columns ([word][snp]) for the
+/// block kernel's right-hand block. Each row of pairs is one
+/// pair_block_counts call. A row whose SNPs are all fully typed
+/// reduces with the hoisted per-SNP terms in a branch-free loop; a row
+/// touching a missing call takes the general nine-count path.
+class WindowSweep {
+ public:
+  WindowScore score_window(const util::SimdKernels& kernels,
+                           const genomics::GenotypeStore& store,
+                           std::span<const std::uint64_t> everyone,
+                           const ga::WindowSpec& window, double strong_r2) {
+    const std::uint32_t count = window.count;
+    load(kernels, store, everyone, window);
+
+    WindowScore score;
+    score.window = window;
+    double sum_r2 = 0.0;
+    double sum_dprime = 0.0;
+    for (std::uint32_t a = 0; a + 1 < count; ++a) {
+      const std::size_t n = count - a - 1;
+      if (typed_[a] && last_untyped_ <= a) {
+        typed_row(kernels, a, n);
+      } else {
+        general_row(kernels, a, n);
+      }
+      // Fixed pair order (a, then b ascending), one thread per window.
+      for (std::size_t j = 0; j < n; ++j) {
+        const double r2 = r2_[j];
+        ++score.pairs;
+        sum_r2 += r2;
+        sum_dprime += dprime_[j];
+        score.max_r2 = std::max(score.max_r2, r2);
+        if (r2 >= strong_r2) ++score.strong_pairs;
+      }
+    }
+    if (score.pairs > 0) {
+      score.mean_r2 = sum_r2 / static_cast<double>(score.pairs);
+      score.mean_abs_d_prime = sum_dprime / static_cast<double>(score.pairs);
+    }
+    score.score = score.mean_r2;
+    return score;
+  }
+
+ private:
+  std::uint64_t* row(Plane plane, std::uint32_t s) {
+    return rows_.data() + (plane * count_ + s) * words_;
+  }
+  DosageTerms typed_terms(std::uint32_t s) const {
+    return {mean_[s], var_[s], p_[s], q_[s]};
+  }
+
+  /// The word-major block of SNPs [first, count).
+  const std::uint64_t* column(Plane plane, std::uint32_t first) const {
+    return columns_.data() + plane * words_ * count_ + first;
+  }
+
+  /// Σ g_a·g_b of pair (a, a + 1 + j) from the row's joint counts.
+  /// Counts stay far below 2^31, and going through int32 lets SSE2
+  /// vectorize the conversion (it has no unsigned one).
+  static double cross_sum(const std::uint32_t* joint, std::size_t n,
+                          std::size_t j) {
+    const auto count = [&](std::size_t k) {
+      return static_cast<double>(static_cast<std::int32_t>(joint[k * n + j]));
+    };
+    return count(0) + 2.0 * count(1) + 2.0 * count(2) + 4.0 * count(3);
+  }
+
+  /// Every pair of the row is over all individuals: n and the per-SNP
+  /// terms are constants, so a pair costs its four cross counts and
+  /// three divisions. Both D' bounds are computed and selected, and
+  /// degenerate pairs are masked to zero afterwards, so the loop has
+  /// no data-dependent branch; every kept value is the one
+  /// ld_from_terms computes.
+  void typed_row(const util::SimdKernels& kernels, std::uint32_t a,
+                 std::size_t n) {
+    const std::uint32_t first = a + 1;
+    kernels.pair_block_counts(row(kLo, a), row(kHi, a), column(kLo, first),
+                              column(kHi, first), count_, words_, n,
+                              counts_.data());
+    const double all = individuals_;
+    const DosageTerms ta = typed_terms(a);
+    if (!(all >= 2.0 && ta.var > 0.0)) {
+      std::fill_n(r2_.begin(), n, 0.0);
+      std::fill_n(dprime_.begin(), n, 0.0);
+      return;
+    }
+    const std::uint32_t* const joint = counts_.data();
+    const double* const mean_b = mean_.data() + first;
+    const double* const var_b = var_.data() + first;
+    const double* const p_b = p_.data() + first;
+    const double* const q_b = q_.data() + first;
+    double* const r2_out = r2_.data();
+    double* const dprime_out = dprime_.data();
+    for (std::size_t j = 0; j < n; ++j) {
+      const double cov = cross_sum(joint, n, j) / all - ta.mean * mean_b[j];
+      const double r2 = min_of((cov * cov) / (ta.var * var_b[j]), 1.0);
+      const double d = cov / 2.0;
+      const double d_max_pos = min_of(ta.p * q_b[j], p_b[j] * ta.q);
+      const double d_max_neg = min_of(ta.p * p_b[j], ta.q * q_b[j]);
+      const double d_max = d >= 0.0 ? d_max_pos : d_max_neg;
+      const double d_prime = min_of(std::abs(d) / d_max, 1.0);
+      const bool live = var_b[j] > 0.0;
+      r2_out[j] = live ? r2 : 0.0;
+      dprime_out[j] = live && d_max > 0.0 ? d_prime : 0.0;
     }
   }
-  return partial;
-}
+
+  /// A row touching a missing call also needs each pair's typed set:
+  /// n_ab = cnt(V_a∧V_b), cnt(lo'_a∧V_b), cnt(hi'_a∧V_b), cnt(V_a∧lo'_b)
+  /// and cnt(V_a∧hi'_b), from two more block calls. A pair of two fully
+  /// typed SNPs gets n_ab = everyone here, so its terms equal the
+  /// hoisted ones.
+  void general_row(const util::SimdKernels& kernels, std::uint32_t a,
+                   std::size_t n) {
+    const std::uint32_t first = a + 1;
+    std::uint32_t* const joint = counts_.data();
+    std::uint32_t* const valid_hi = joint + 4 * n;
+    std::uint32_t* const hi_valid = joint + 8 * n;
+    kernels.pair_block_counts(row(kLo, a), row(kHi, a), column(kLo, first),
+                              column(kHi, first), count_, words_, n, joint);
+    // (V_a, lo'_a) × (V_b, hi'_b): n_ab, V_a∧hi'_b, lo'_a∧V_b, —
+    kernels.pair_block_counts(row(kValid, a), row(kLo, a),
+                              column(kValid, first), column(kHi, first),
+                              count_, words_, n, valid_hi);
+    // (hi'_a, V_a) × (V_b, lo'_b): hi'_a∧V_b, —, —, V_a∧lo'_b
+    kernels.pair_block_counts(row(kHi, a), row(kValid, a),
+                              column(kValid, first), column(kLo, first),
+                              count_, words_, n, hi_valid);
+    for (std::size_t j = 0; j < n; ++j) {
+      PairLd ld;
+      if (const double n_ab = static_cast<double>(valid_hi[j]); n_ab >= 2.0) {
+        ld = ld_from_terms(
+            dosage_terms(n_ab, static_cast<double>(valid_hi[2 * n + j]),
+                         static_cast<double>(hi_valid[j])),
+            dosage_terms(n_ab, static_cast<double>(hi_valid[3 * n + j]),
+                         static_cast<double>(valid_hi[n + j])),
+            n_ab, cross_sum(joint, n, j));
+      }
+      r2_[j] = ld.r2;
+      dprime_[j] = ld.d_prime;
+    }
+  }
+
+  /// Masks and lays out the window's planes, and hoists the per-SNP
+  /// terms of its fully typed SNPs.
+  void load(const util::SimdKernels& kernels,
+            const genomics::GenotypeStore& store,
+            std::span<const std::uint64_t> everyone,
+            const ga::WindowSpec& window) {
+    count_ = window.count;
+    words_ = everyone.size();
+    individuals_ = static_cast<double>(store.individual_count());
+    rows_.resize(kPlanes * count_ * words_);
+    columns_.resize(kPlanes * words_ * count_);
+    counts_.resize(12 * count_);
+    r2_.resize(count_);
+    dprime_.resize(count_);
+    typed_.assign(count_, 0);
+    mean_.assign(count_, 0.0);
+    var_.assign(count_, 0.0);
+    p_.assign(count_, 0.0);
+    q_.assign(count_, 0.0);
+    last_untyped_ = 0;
+    for (std::uint32_t s = 0; s < count_; ++s) {
+      const auto lo = store.low_plane(window.begin + s);
+      const auto hi = store.high_plane(window.begin + s);
+      std::uint64_t* const row_lo = row(kLo, s);
+      std::uint64_t* const row_hi = row(kHi, s);
+      std::uint64_t* const row_valid = row(kValid, s);
+      for (std::size_t w = 0; w < words_; ++w) {
+        const std::uint64_t valid = everyone[w] & ~(lo[w] & hi[w]);
+        row_lo[w] = lo[w] & valid;
+        row_hi[w] = hi[w] & valid;
+        row_valid[w] = valid;
+        columns_[(kLo * words_ + w) * count_ + s] = row_lo[w];
+        columns_[(kHi * words_ + w) * count_ + s] = row_hi[w];
+        columns_[(kValid * words_ + w) * count_ + s] = valid;
+      }
+      const double typed =
+          static_cast<double>(kernels.popcount_words(row_valid, words_));
+      if (typed != individuals_) {
+        last_untyped_ = s;
+        continue;
+      }
+      typed_[s] = 1;
+      const DosageTerms terms = dosage_terms(
+          individuals_,
+          static_cast<double>(kernels.popcount_words(row_lo, words_)),
+          static_cast<double>(kernels.popcount_words(row_hi, words_)));
+      mean_[s] = terms.mean;
+      var_[s] = terms.var;
+      p_[s] = terms.p;
+      q_[s] = terms.q;
+    }
+  }
+
+  std::size_t count_ = 0;
+  std::size_t words_ = 0;
+  double individuals_ = 0.0;
+  std::vector<std::uint64_t> rows_;     ///< [plane][snp][word]
+  std::vector<std::uint64_t> columns_;  ///< [plane][word][snp]
+  std::vector<std::uint8_t> typed_;     ///< no missing call in the window
+  std::uint32_t last_untyped_ = 0;      ///< highest untyped SNP (0 if none)
+  /// DosageTerms of each typed SNP over everyone, as columns for the
+  /// typed rows' vectorizable loop.
+  std::vector<double> mean_, var_, p_, q_;
+  std::vector<std::uint32_t> counts_;  ///< a row's block outputs, 4n each
+  std::vector<double> r2_, dprime_;    ///< a row's pair results
+};
+
+/// Windows scored per worker thread between two in-order sink rounds.
+constexpr std::size_t kWindowsPerThreadRound = 32;
 
 }  // namespace
 
@@ -215,69 +404,46 @@ void score_windows_streaming(
     std::span<const ga::WindowSpec> windows, const LdPrefilterConfig& config,
     const std::function<void(const WindowScore&)>& sink) {
   config.validate();
-  const std::uint32_t words = store.words_per_snp();
-  const std::vector<std::uint64_t> everyone =
-      everyone_mask(store.individual_count(), words);
-  const util::SimdKernels& kernels = util::simd();
-
-  const std::uint32_t n_workers =
-      config.workers > 0 ? config.workers : parallel::default_thread_count();
-  std::optional<parallel::ThreadPool> pool;
-  if (n_workers > 1) pool.emplace(n_workers);
-  /// One {joint, tmp} scratch pair per parallel_for chunk (threads +
-  /// the calling thread); index 0 doubles as the serial scratch.
-  std::vector<std::vector<std::uint64_t>> joints(
-      pool ? pool->thread_count() + 1 : 1,
-      std::vector<std::uint64_t>(words));
-  std::vector<std::vector<std::uint64_t>> tmps(joints.size(),
-                                               std::vector<std::uint64_t>(words));
-
-  std::vector<TileSpec> tiles;
-  std::vector<TilePartial> partials;
   for (const ga::WindowSpec& window : windows) {
     LDGA_EXPECTS(window.begin < store.snp_count() &&
                  window.count <= store.snp_count() - window.begin);
-    const WindowPlanes planes(store, window, everyone);
+  }
+  const std::vector<std::uint64_t> everyone =
+      everyone_mask(store.individual_count(), store.words_per_snp());
+  const util::SimdKernels& kernels = util::simd();
 
-    // Blocked pair sweep: tiles of the (a, b) index square, upper
-    // triangle only, so both tiles' plane words stay cache-hot across
-    // the inner loops.
-    const std::uint32_t tile = config.tile_snps;
-    tiles.clear();
-    for (std::uint32_t ta = 0; ta < window.count; ta += tile) {
-      for (std::uint32_t tb = ta; tb < window.count; tb += tile) {
-        tiles.push_back({ta, tb});
+  // `workers` counts every scoring thread: the caller plus workers − 1
+  // pool threads. Windows are the unit of parallel work — each one is
+  // summed by one thread in fixed pair order, so scores do not depend
+  // on the thread count — and a round's scores reach the sink on the
+  // caller, in window order, before the next round starts.
+  const std::uint32_t threads =
+      config.workers > 0 ? config.workers : parallel::default_thread_count();
+  std::optional<parallel::ThreadPool> pool;
+  if (threads > 1 && windows.size() > 1) pool.emplace(threads - 1);
+  const std::size_t lanes = pool ? pool->thread_count() + 1 : 1;
+  std::vector<WindowSweep> sweeps(lanes);
+  const std::size_t round = lanes * kWindowsPerThreadRound;
+  std::vector<WindowScore> scored(std::min(round, windows.size()));
+
+  for (std::size_t first = 0; first < windows.size(); first += round) {
+    const std::size_t last = std::min(first + round, windows.size());
+    std::atomic<std::size_t> next{first};
+    const auto claim = [&](std::size_t lane, std::size_t) {
+      // Dynamic claims within the round: a lane slowed by other work
+      // on the host does not hold up the rest.
+      for (std::size_t w = next.fetch_add(1, std::memory_order_relaxed);
+           w < last; w = next.fetch_add(1, std::memory_order_relaxed)) {
+        scored[w - first] = sweeps[lane].score_window(
+            kernels, store, everyone, windows[w], config.strong_r2);
       }
-    }
-    partials.assign(tiles.size(), TilePartial{});
-    const auto run_tile = [&](std::size_t chunk, std::size_t t) {
-      partials[t] = sweep_tile(kernels, planes, window.count, tile, tiles[t],
-                               words, config.strong_r2, joints[chunk].data(),
-                               tmps[chunk].data());
     };
-    if (pool && tiles.size() > 1) {
-      pool->parallel_for_chunked(0, tiles.size(), run_tile);
+    if (pool) {
+      pool->parallel_for_chunked(0, lanes, claim);
     } else {
-      for (std::size_t t = 0; t < tiles.size(); ++t) run_tile(0, t);
+      claim(0, 0);
     }
-
-    WindowScore score;
-    score.window = window;
-    double sum_r2 = 0.0;
-    double sum_dprime = 0.0;
-    for (const TilePartial& partial : partials) {
-      score.pairs += partial.pairs;
-      score.strong_pairs += partial.strong;
-      sum_r2 += partial.sum_r2;
-      sum_dprime += partial.sum_dprime;
-      score.max_r2 = std::max(score.max_r2, partial.max_r2);
-    }
-    if (score.pairs > 0) {
-      score.mean_r2 = sum_r2 / static_cast<double>(score.pairs);
-      score.mean_abs_d_prime = sum_dprime / static_cast<double>(score.pairs);
-    }
-    score.score = score.mean_r2;
-    sink(score);
+    for (std::size_t w = first; w < last; ++w) sink(scored[w - first]);
   }
 }
 
@@ -300,55 +466,54 @@ std::vector<ga::WindowSpec> top_windows(std::span<const WindowScore> scores,
   return kept;
 }
 
+bool StreamingTopK::RanksAbove::operator()(const WindowScore& x,
+                                           const WindowScore& y) const {
+  if (x.score != y.score) return x.score > y.score;
+  return x.window.begin < y.window.begin;
+}
+
 StreamingTopK::StreamingTopK(std::uint32_t total, std::uint32_t keep,
                              double max_score)
     : total_(total), keep_(keep), max_score_(max_score) {
   if (!(max_score >= 0.0)) {
     throw ConfigError("StreamingTopK: max_score must be a bound, >= 0");
   }
-  scored_.reserve(total);
-}
-
-std::uint32_t StreamingTopK::rivals_above(const WindowScore& score) const {
-  std::uint32_t above = 0;
-  for (const auto& [rival_score, rival_begin] : scored_) {
-    if (rival_score > score.score ||
-        (rival_score == score.score && rival_begin < score.window.begin)) {
-      ++above;
-    }
-  }
-  return above;
 }
 
 std::vector<WindowScore> StreamingTopK::offer(const WindowScore& score) {
   LDGA_EXPECTS(offered_ < total_);
   LDGA_EXPECTS(score.score <= max_score_);
   ++offered_;
-  scored_.emplace_back(score.score, score.window.begin);
-  pending_.push_back(score);
 
-  // Resolve what this observation settled. Every unscored window could
-  // still score the ceiling with an earlier begin, so it counts as a
-  // potential rival of everyone; scored rivals are exact. Both counts
+  // The admitted windows and the contenders together are the best
+  // `keep` scored so far; a window's rank among them is its count of
+  // scored rivals above, and the admitted ones are always the top
+  // ranks. A newcomer that outranks every contender lands among them,
+  // at a rank r <= admitted. Every admission keeps admitted + unscored
+  // <= keep, so r + (unscored after this offer) < keep: it is proven
+  // in on the spot.
+  std::vector<WindowScore> released;
+  if (admitted_ > 0 &&
+      (contenders_.empty() || RanksAbove{}(score, *contenders_.begin()))) {
+    released.push_back(score);
+    ++admitted_;
+  } else {
+    contenders_.insert(score);
+  }
+  if (admitted_ + contenders_.size() > keep_) {
+    // keep windows already rank above the worst — provably rejected.
+    contenders_.erase(std::prev(contenders_.end()));
+  }
+
+  // Every unscored window could still score the ceiling with an
+  // earlier begin, so it counts as a potential rival of everyone; a
+  // window of rank r is proven in once r + unscored < keep. Both counts
   // are monotone in offers, so a decision made here is final.
   const std::uint32_t unscored = total_ - offered_;
-  std::vector<WindowScore> released;
-  for (std::size_t i = 0; i < pending_.size();) {
-    const std::uint32_t definite = rivals_above(pending_[i]);
-    if (definite >= keep_) {
-      // keep_ windows already rank above it — provably rejected.
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      continue;
-    }
-    // Even a ceiling-scoring window cannot shed the unscored rivals:
-    // a tie at max_score could still fall to an earlier begin.
-    if (definite + unscored < keep_) {
-      released.push_back(pending_[i]);
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      ++admitted_;
-      continue;
-    }
-    ++i;
+  while (!contenders_.empty() && admitted_ + unscored < keep_) {
+    released.push_back(*contenders_.begin());
+    contenders_.erase(contenders_.begin());
+    ++admitted_;
   }
   std::sort(released.begin(), released.end(),
             [](const WindowScore& a, const WindowScore& b) {

@@ -1,4 +1,4 @@
-// Tiled pairwise-LD prefilter over a GenotypeStore.
+// Pairwise-LD prefilter over a GenotypeStore.
 //
 // Which windows of a genome-scale panel deserve a GA run? Regions of
 // elevated pairwise disequilibrium — haplotype-block structure — are
@@ -8,8 +8,8 @@
 // budget on the top of the ranking.
 //
 // The pair statistic is composite (genotype-dosage) LD, computed
-// entirely from the 2-bit plane words with the fused popcount kernels
-// of util/simd.hpp — no EM, no phase: over individuals typed at both
+// entirely from the 2-bit plane words with popcount kernels of
+// util/simd.hpp — no EM, no phase: over individuals typed at both
 // loci, the dosage g = lo + 2·hi ∈ {0,1,2} gives
 //
 //   Σ g_a       =   cnt(V∧lo_a) + 2·cnt(V∧hi_a)
@@ -23,16 +23,24 @@
 // and approximates it otherwise — exactly the right fidelity for a
 // prefilter whose output is a ranking, not a statistic.
 //
-// Pairs are processed in tiles (tile × tile index blocks) so both
-// columns' plane words stay cache-resident across the inner loop; on an
-// mmap'd store a tile touches only its own pages, keeping the sweep's
-// resident set at O(tile) regardless of panel size.
+// The sweep masks each SNP's planes by its validity once (a missing
+// call becomes (0, 0), so the V of a joint count folds into the
+// operands) and copies the window word-major, [word][snp], so that
+// util::SimdKernels::pair_block_counts counts one SNP against the
+// whole rest of its row in one fused pass — one pair per vector lane.
+// When a row's SNP and all later SNPs of the window are fully typed,
+// n and every per-SNP term are constants hoisted out of the pair loop
+// and a pair costs its four cross counts and three divisions; every
+// other row takes the general nine-count path, about 4x slower per
+// pair. Both reproduce composite_pair_ld bit for bit. Windows are the unit of parallelism: each is summed by
+// one thread in fixed pair order, so scores do not depend on the
+// thread count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "ga/window_scan.hpp"
@@ -43,17 +51,13 @@
 namespace ldga::analysis {
 
 struct LdPrefilterConfig {
-  /// Tile edge of the blocked pair sweep (cache locality knob; the
-  /// result is independent of it).
-  std::uint32_t tile_snps = 256;
   /// A pair with r² at or above this counts as a "strong" pair in
   /// WindowScore::strong_pairs (block-structure evidence).
   double strong_r2 = 0.2;
-  /// Worker threads for the tile sweep (tiles are independent): 1 runs
-  /// inline on the caller, 0 means hardware concurrency. Every tile
-  /// accumulates into its own partial and partials are reduced in
-  /// fixed tile order — the serial path folds the same partials — so
-  /// scores are bit-for-bit identical at any worker count.
+  /// Threads that score windows, the calling thread included: 1 runs
+  /// inline on the caller, 0 means hardware concurrency. Each window is
+  /// summed by one thread in fixed pair order and emitted in window
+  /// order, so scores are bit-for-bit identical at any worker count.
   std::uint32_t workers = 1;
 
   void validate() const;
@@ -72,22 +76,24 @@ struct WindowScore {
   double score = 0.0;
 };
 
-/// Composite LD of one pair, straight from the store's plane words.
-/// Degenerate pairs (a monomorphic locus, or < 2 jointly-typed
-/// individuals) score zero. Exposed for tests and spot checks; the
-/// sweep below uses the same arithmetic.
+/// Composite LD of one pair, straight from the store's plane words,
+/// with nine masked popcounts. Degenerate pairs (a monomorphic locus,
+/// or < 2 jointly-typed individuals) score zero. The per-pair
+/// reference: tests and spot checks hold the sweep below to it bit for
+/// bit; the sweep itself never calls it.
 genomics::PairLd composite_pair_ld(const genomics::GenotypeStore& store,
                                    genomics::SnpIndex a,
                                    genomics::SnpIndex b);
 
-/// Tiled sweep: every intra-window pair of every window, one
-/// WindowScore per WindowSpec (same order).
+/// Every intra-window pair of every window, one WindowScore per
+/// WindowSpec (same order).
 std::vector<WindowScore> score_windows(const genomics::GenotypeStore& store,
                                        std::span<const ga::WindowSpec> windows,
                                        const LdPrefilterConfig& config = {});
 
 /// The same sweep, emitting each window's score to `sink` the moment
-/// it is final (window order, same worker pool across the whole sweep).
+/// it is final (window order, on the calling thread; one worker pool
+/// across the whole sweep).
 /// This is the producing end of the pipelined scan: the sink feeds a
 /// StreamingTopK while the GA stage is already consuming admissions,
 /// so prefilter and GA wall-clock overlap. Scores are bit-identical to
@@ -119,11 +125,15 @@ std::vector<ga::WindowSpec> top_windows(std::span<const WindowScore> scores,
 /// streaming changes *when* windows are released, never *which*
 /// (tests/test_ld_prefilter.cpp holds this across admission orders).
 ///
-/// The honest corollary: against a tight ceiling every unscored window
-/// is a potential rival, so admissions necessarily trickle until the
-/// sweep's tail (the last offers release in bulk). The pipeline's win
-/// is the overlap itself plus early *rejections*, not early certainty
-/// about the winners.
+/// The ranking lives in an ordered set of at most `keep` entries — the
+/// windows still in contention — so an offer costs O(log keep), and
+/// the rival count of a window is its rank there.
+///
+/// The honest corollary: against a ceiling of 1.0 every unscored
+/// window is a potential rival, so no window is provably in before the
+/// last `keep` offers; admissions arrive in the sweep's tail. The
+/// pipeline's win is the overlap of those last GAs with the end of the
+/// sweep, plus early *rejections* that bound the set to `keep`.
 class StreamingTopK {
  public:
   /// `total` windows will be offered; the best `keep` survive.
@@ -143,20 +153,20 @@ class StreamingTopK {
   bool complete() const { return offered_ == total_; }
 
  private:
-  /// Scored rivals ranking above (score desc, begin asc — the
-  /// top_windows order).
-  std::uint32_t rivals_above(const WindowScore& score) const;
+  /// The top_windows order: score descending, then begin ascending.
+  struct RanksAbove {
+    bool operator()(const WindowScore& x, const WindowScore& y) const;
+  };
 
   std::uint32_t total_;
   std::uint32_t keep_;
   double max_score_;
   std::uint32_t offered_ = 0;
   std::uint32_t admitted_ = 0;
-  /// (score, begin) of every offered window — the ranking's ground
-  /// truth.
-  std::vector<std::pair<double, genomics::SnpIndex>> scored_;
-  /// Offered windows neither admitted nor provably rejected yet.
-  std::vector<WindowScore> pending_;
+  /// Offered windows neither admitted nor provably rejected yet, best
+  /// first. With the admitted ones they are the best `keep` offered so
+  /// far, and every admitted window ranks above every contender.
+  std::multiset<WindowScore, RanksAbove> contenders_;
 };
 
 }  // namespace ldga::analysis

@@ -29,7 +29,7 @@
 //     the telemetry (WindowResult::completion_rank / donor_windows).
 //
 // Window *selection* (which windows deserve a GA at all) is not this
-// layer's job: the tiled LD prefilter in analysis/ld_prefilter.hpp
+// layer's job: the LD prefilter in analysis/ld_prefilter.hpp
 // scores windows, and callers pass the survivors here — either as a
 // batch (run_window_scan) or incrementally (WindowScanScheduler, which
 // is how analysis/genome_pipeline.hpp overlaps the prefilter with the

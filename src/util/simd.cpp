@@ -1,5 +1,6 @@
 #include "util/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdio>
@@ -76,6 +77,29 @@ void plane_counts_scalar(const std::uint64_t* lo, const std::uint64_t* hi,
   counts[0] = het;
   counts[1] = hom_two;
   counts[2] = missing;
+}
+
+void pair_block_counts_scalar(const std::uint64_t* a0, const std::uint64_t* a1,
+                              const std::uint64_t* b0, const std::uint64_t* b1,
+                              std::size_t stride, std::size_t words,
+                              std::size_t n, std::uint32_t* out) {
+  std::uint32_t* const c00 = out;
+  std::uint32_t* const c01 = out + n;
+  std::uint32_t* const c10 = out + 2 * n;
+  std::uint32_t* const c11 = out + 3 * n;
+  std::fill(out, out + 4 * n, 0u);
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t x = a0[w];
+    const std::uint64_t y = a1[w];
+    const std::uint64_t* row0 = b0 + w * stride;
+    const std::uint64_t* row1 = b1 + w * stride;
+    for (std::size_t j = 0; j < n; ++j) {
+      c00[j] += static_cast<std::uint32_t>(std::popcount(x & row0[j]));
+      c01[j] += static_cast<std::uint32_t>(std::popcount(x & row1[j]));
+      c10[j] += static_cast<std::uint32_t>(std::popcount(y & row0[j]));
+      c11[j] += static_cast<std::uint32_t>(std::popcount(y & row1[j]));
+    }
+  }
 }
 
 double weighted_pair_products_scalar(const double* freq,
@@ -184,6 +208,7 @@ const SimdKernels& scalar_kernels() {
   static constexpr SimdKernels kTable{
       &popcount_words_scalar,       &combine_planes_scalar,
       &combine_planes_count_scalar, &plane_counts_scalar,
+      &pair_block_counts_scalar,
       &weighted_pair_products_scalar,
       &scale_values_scalar,         &chi_columns_scalar,
       &pearson_row_terms_scalar,

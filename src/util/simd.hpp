@@ -9,8 +9,9 @@
 // codebase keeps the portable baseline flags.
 //
 // Determinism contract (docs/algorithms.md §12):
-//   * Integer kernels (popcount_words, combine_planes, plane_counts)
-//     are bit-exact by construction at every level; they are always on.
+//   * Integer kernels (popcount_words, combine_planes, plane_counts,
+//     pair_block_counts) are bit-exact by construction at every level;
+//     they are always on.
 //   * Floating-point kernels (weighted_pair_products, scale_values,
 //     chi_columns, pearson_row_terms) use a fixed lane order, so for a
 //     fixed dispatch level the result is deterministic run-to-run and
@@ -78,6 +79,23 @@ struct SimdKernels {
   /// Counts are written, not accumulated.
   void (*plane_counts)(const std::uint64_t* lo, const std::uint64_t* hi,
                        std::size_t n, std::uint64_t counts[3]);
+
+  /// Joint counts of one SNP's two planes (a0, a1; `words` words each)
+  /// against a block of `n` SNPs stored word-major: SNP j's word w of
+  /// its planes sits at b0[w * stride + j] and b1[w * stride + j]. One
+  /// fused pass writes, for j in [0, n),
+  ///   out[j]       = Σ_w popcount(a0[w] & b0[w * stride + j])
+  ///   out[n + j]   = Σ_w popcount(a0[w] & b1[w * stride + j])
+  ///   out[2n + j]  = Σ_w popcount(a1[w] & b0[w * stride + j])
+  ///   out[3n + j]  = Σ_w popcount(a1[w] & b1[w * stride + j])
+  /// — the LD prefilter's per-pair dosage cross counts, a whole row of
+  /// pairs per call. Word-major columns put n neighbouring SNPs' words
+  /// in one vector, so a vector popcount counts one pair per lane.
+  /// Each count must fit in 32 bits (words < 2^26).
+  void (*pair_block_counts)(const std::uint64_t* a0, const std::uint64_t* a1,
+                            const std::uint64_t* b0, const std::uint64_t* b1,
+                            std::size_t stride, std::size_t words,
+                            std::size_t n, std::uint32_t* out);
 
   /// products[t] = mult * freq[h1[t]] * freq[h2[t]] for t in [0, n);
   /// returns Σ products in fixed lane order. The EM E-step's

@@ -15,6 +15,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -159,6 +160,64 @@ void plane_counts_avx2(const std::uint64_t* lo, const std::uint64_t* hi,
   counts[0] = het;
   counts[1] = hom_two;
   counts[2] = missing;
+}
+
+/// Four lanes = four neighbouring SNPs of the word-major block. Byte
+/// counts accumulate for up to kFlushWords words (31 × 8 = 248 fits a
+/// byte) before psadbw folds them into the 64-bit lane sums.
+void pair_block_counts_avx2(const std::uint64_t* a0, const std::uint64_t* a1,
+                            const std::uint64_t* b0, const std::uint64_t* b1,
+                            std::size_t stride, std::size_t words,
+                            std::size_t n, std::uint32_t* out) {
+  constexpr std::size_t kFlushWords = 31;
+  const __m256i zero = _mm256_setzero_si256();
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    __m256i sums[4] = {zero, zero, zero, zero};
+    for (std::size_t w0 = 0; w0 < words; w0 += kFlushWords) {
+      const std::size_t w_end = std::min(words, w0 + kFlushWords);
+      __m256i bytes[4] = {zero, zero, zero, zero};
+      for (std::size_t w = w0; w < w_end; ++w) {
+        const __m256i x = _mm256_set1_epi64x(static_cast<long long>(a0[w]));
+        const __m256i y = _mm256_set1_epi64x(static_cast<long long>(a1[w]));
+        const __m256i r0 = loadu(b0 + w * stride + j);
+        const __m256i r1 = loadu(b1 + w * stride + j);
+        bytes[0] = _mm256_add_epi8(bytes[0],
+                                   popcount_bytes(_mm256_and_si256(x, r0)));
+        bytes[1] = _mm256_add_epi8(bytes[1],
+                                   popcount_bytes(_mm256_and_si256(x, r1)));
+        bytes[2] = _mm256_add_epi8(bytes[2],
+                                   popcount_bytes(_mm256_and_si256(y, r0)));
+        bytes[3] = _mm256_add_epi8(bytes[3],
+                                   popcount_bytes(_mm256_and_si256(y, r1)));
+      }
+      for (int k = 0; k < 4; ++k) {
+        sums[k] = _mm256_add_epi64(sums[k], _mm256_sad_epu8(bytes[k], zero));
+      }
+    }
+    for (std::size_t k = 0; k < 4; ++k) {
+      alignas(32) std::uint64_t lanes[4];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), sums[k]);
+      for (std::size_t lane = 0; lane < 4; ++lane) {
+        out[k * n + j + lane] = static_cast<std::uint32_t>(lanes[lane]);
+      }
+    }
+  }
+  for (; j < n; ++j) {
+    std::uint32_t c00 = 0, c01 = 0, c10 = 0, c11 = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t r0 = b0[w * stride + j];
+      const std::uint64_t r1 = b1[w * stride + j];
+      c00 += static_cast<std::uint32_t>(std::popcount(a0[w] & r0));
+      c01 += static_cast<std::uint32_t>(std::popcount(a0[w] & r1));
+      c10 += static_cast<std::uint32_t>(std::popcount(a1[w] & r0));
+      c11 += static_cast<std::uint32_t>(std::popcount(a1[w] & r1));
+    }
+    out[j] = c00;
+    out[n + j] = c01;
+    out[2 * n + j] = c10;
+    out[3 * n + j] = c11;
+  }
 }
 
 double weighted_pair_products_avx2(const double* freq,
@@ -351,6 +410,7 @@ const SimdKernels& avx2_kernels() {
   static constexpr SimdKernels kTable{
       &popcount_words_avx2,       &combine_planes_avx2,
       &combine_planes_count_avx2, &plane_counts_avx2,
+      &pair_block_counts_avx2,
       &weighted_pair_products_avx2,
       &scale_values_avx2,         &chi_columns_avx2,
       &pearson_row_terms_avx2,

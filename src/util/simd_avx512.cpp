@@ -14,6 +14,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <bit>
 
 namespace ldga::util::detail {
@@ -136,6 +137,41 @@ void plane_counts_avx512(const std::uint64_t* lo, const std::uint64_t* hi,
   counts[0] = het;
   counts[1] = hom_two;
   counts[2] = missing;
+}
+
+/// Eight lanes = eight neighbouring SNPs of the word-major block, so
+/// one vpopcntq counts eight pairs. The block tail runs the same body
+/// under a lane mask (masked loads never touch the masked-off words).
+void pair_block_counts_avx512(const std::uint64_t* a0,
+                              const std::uint64_t* a1,
+                              const std::uint64_t* b0,
+                              const std::uint64_t* b1, std::size_t stride,
+                              std::size_t words, std::size_t n,
+                              std::uint32_t* out) {
+  for (std::size_t j = 0; j < n; j += 8) {
+    const std::size_t lanes = std::min<std::size_t>(8, n - j);
+    const auto mask = static_cast<__mmask8>((1u << lanes) - 1u);
+    __m512i c00 = _mm512_setzero_si512();
+    __m512i c01 = _mm512_setzero_si512();
+    __m512i c10 = _mm512_setzero_si512();
+    __m512i c11 = _mm512_setzero_si512();
+    for (std::size_t w = 0; w < words; ++w) {
+      const __m512i x = _mm512_set1_epi64(static_cast<long long>(a0[w]));
+      const __m512i y = _mm512_set1_epi64(static_cast<long long>(a1[w]));
+      const __m512i r0 = _mm512_maskz_loadu_epi64(mask, b0 + w * stride + j);
+      const __m512i r1 = _mm512_maskz_loadu_epi64(mask, b1 + w * stride + j);
+      c00 = _mm512_add_epi64(c00, _mm512_popcnt_epi64(_mm512_and_si512(x, r0)));
+      c01 = _mm512_add_epi64(c01, _mm512_popcnt_epi64(_mm512_and_si512(x, r1)));
+      c10 = _mm512_add_epi64(c10, _mm512_popcnt_epi64(_mm512_and_si512(y, r0)));
+      c11 = _mm512_add_epi64(c11, _mm512_popcnt_epi64(_mm512_and_si512(y, r1)));
+    }
+    _mm256_mask_storeu_epi32(out + j, mask, _mm512_cvtepi64_epi32(c00));
+    _mm256_mask_storeu_epi32(out + n + j, mask, _mm512_cvtepi64_epi32(c01));
+    _mm256_mask_storeu_epi32(out + 2 * n + j, mask,
+                             _mm512_cvtepi64_epi32(c10));
+    _mm256_mask_storeu_epi32(out + 3 * n + j, mask,
+                             _mm512_cvtepi64_epi32(c11));
+  }
 }
 
 double weighted_pair_products_avx512(const double* freq,
@@ -338,6 +374,7 @@ const SimdKernels& avx512_kernels() {
   static constexpr SimdKernels kTable{
       &popcount_words_avx512,       &combine_planes_avx512,
       &combine_planes_count_avx512, &plane_counts_avx512,
+      &pair_block_counts_avx512,
       &weighted_pair_products_avx512,
       &scale_values_avx512,         &chi_columns_avx512,
       &pearson_row_terms_avx512,

@@ -10,6 +10,7 @@
 
 #include <arm_neon.h>
 
+#include <algorithm>
 #include <bit>
 
 namespace ldga::util::detail {
@@ -118,6 +119,64 @@ void plane_counts_neon(const std::uint64_t* lo, const std::uint64_t* hi,
   counts[0] = het;
   counts[1] = hom_two;
   counts[2] = missing;
+}
+
+/// Two lanes = two neighbouring SNPs of the word-major block. Byte
+/// counts accumulate for up to kFlushWords words (31 × 8 = 248 fits a
+/// byte) before the vpaddlq ladder folds them into the 64-bit sums.
+void pair_block_counts_neon(const std::uint64_t* a0, const std::uint64_t* a1,
+                            const std::uint64_t* b0, const std::uint64_t* b1,
+                            std::size_t stride, std::size_t words,
+                            std::size_t n, std::uint32_t* out) {
+  constexpr std::size_t kFlushWords = 31;
+  std::size_t j = 0;
+  for (; j + 2 <= n; j += 2) {
+    uint64x2_t sums[4] = {vdupq_n_u64(0), vdupq_n_u64(0), vdupq_n_u64(0),
+                          vdupq_n_u64(0)};
+    for (std::size_t w0 = 0; w0 < words; w0 += kFlushWords) {
+      const std::size_t w_end = std::min(words, w0 + kFlushWords);
+      uint8x16_t bytes[4] = {vdupq_n_u8(0), vdupq_n_u8(0), vdupq_n_u8(0),
+                             vdupq_n_u8(0)};
+      for (std::size_t w = w0; w < w_end; ++w) {
+        const uint64x2_t x = vdupq_n_u64(a0[w]);
+        const uint64x2_t y = vdupq_n_u64(a1[w]);
+        const uint64x2_t r0 = vld1q_u64(b0 + w * stride + j);
+        const uint64x2_t r1 = vld1q_u64(b1 + w * stride + j);
+        bytes[0] = vaddq_u8(bytes[0], vcntq_u8(vreinterpretq_u8_u64(
+                                          vandq_u64(x, r0))));
+        bytes[1] = vaddq_u8(bytes[1], vcntq_u8(vreinterpretq_u8_u64(
+                                          vandq_u64(x, r1))));
+        bytes[2] = vaddq_u8(bytes[2], vcntq_u8(vreinterpretq_u8_u64(
+                                          vandq_u64(y, r0))));
+        bytes[3] = vaddq_u8(bytes[3], vcntq_u8(vreinterpretq_u8_u64(
+                                          vandq_u64(y, r1))));
+      }
+      for (int k = 0; k < 4; ++k) {
+        sums[k] = vaddq_u64(
+            sums[k], vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(bytes[k]))));
+      }
+    }
+    for (std::size_t k = 0; k < 4; ++k) {
+      out[k * n + j] = static_cast<std::uint32_t>(vgetq_lane_u64(sums[k], 0));
+      out[k * n + j + 1] =
+          static_cast<std::uint32_t>(vgetq_lane_u64(sums[k], 1));
+    }
+  }
+  for (; j < n; ++j) {
+    std::uint32_t c00 = 0, c01 = 0, c10 = 0, c11 = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t r0 = b0[w * stride + j];
+      const std::uint64_t r1 = b1[w * stride + j];
+      c00 += static_cast<std::uint32_t>(std::popcount(a0[w] & r0));
+      c01 += static_cast<std::uint32_t>(std::popcount(a0[w] & r1));
+      c10 += static_cast<std::uint32_t>(std::popcount(a1[w] & r0));
+      c11 += static_cast<std::uint32_t>(std::popcount(a1[w] & r1));
+    }
+    out[j] = c00;
+    out[n + j] = c01;
+    out[2 * n + j] = c10;
+    out[3 * n + j] = c11;
+  }
 }
 
 double weighted_pair_products_neon(const double* freq,
@@ -301,7 +360,8 @@ const SimdKernels& neon_kernels() {
   static constexpr SimdKernels kTable{
       &popcount_words_neon,       &combine_planes_neon,
       &combine_planes_count_neon,
-      &plane_counts_neon,         &weighted_pair_products_neon,
+      &plane_counts_neon,         &pair_block_counts_neon,
+      &weighted_pair_products_neon,
       &scale_values_neon,         &chi_columns_neon,
       &pearson_row_terms_neon,
       &batch_weighted_pair_products_neon,

@@ -350,7 +350,12 @@ TEST(GaEngineFaultTolerance, FarmWithInjectedFaultsMatchesSerialRun) {
 
 class GaEngineCheckpoint : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "ldga_engine.ckpt";
+  // One file per test: ctest runs each case as its own process, and a
+  // shared path would let one case's SetUp/TearDown delete another's.
+  std::string path_ =
+      ::testing::TempDir() + "ldga_engine_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".ckpt";
 
   void SetUp() override { std::remove(path_.c_str()); }
   void TearDown() override { std::remove(path_.c_str()); }

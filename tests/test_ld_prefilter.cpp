@@ -14,6 +14,8 @@
 #include "genomics/packed_genotype.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace ldga::analysis {
 namespace {
@@ -119,60 +121,137 @@ TEST(LdPrefilter, WindowSummaryCountsPairsAndStrongPairs) {
   EXPECT_DOUBLE_EQ(scores[0].score, scores[0].mean_r2);
 }
 
-TEST(LdPrefilter, TileSizeDoesNotChangeScores) {
-  const genomics::Dataset dataset =
-      ldga::testing::small_synthetic(30, 2, 7).dataset;
-  const PackedGenotypeMatrix store(dataset.genotypes());
-  const std::vector<ga::WindowSpec> windows = ga::plan_windows(30, 12, 6);
+/// A panel with real LD structure: each SNP copies its left
+/// neighbour's dosage per individual with probability 0.7, and
+/// otherwise draws afresh. `missing_rate` sprinkles missing calls;
+/// SNP 4 is monomorphic and, with missing calls on, SNP 9 is untyped
+/// for everyone but two individuals.
+PackedGenotypeMatrix linked_panel(std::uint32_t individuals,
+                                  std::uint32_t snps, double missing_rate,
+                                  std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<int>> columns(snps, std::vector<int>(individuals));
+  for (std::uint32_t s = 0; s < snps; ++s) {
+    for (std::uint32_t i = 0; i < individuals; ++i) {
+      int dosage = static_cast<int>(rng.below(3));
+      if (s > 0 && rng.bernoulli(0.7) && columns[s - 1][i] != 3) {
+        dosage = columns[s - 1][i];
+      }
+      if (s == 4) dosage = 1;
+      if (missing_rate > 0.0 && (rng.bernoulli(missing_rate) ||
+                                 (s == 9 && i >= 2))) {
+        dosage = 3;
+      }
+      columns[s][i] = dosage;
+    }
+  }
+  return store_from_columns(columns);
+}
 
-  LdPrefilterConfig tiny;
-  tiny.tile_snps = 1;
-  LdPrefilterConfig odd;
-  odd.tile_snps = 5;
-  const auto reference = score_windows(store, windows);  // tile 256
-  const auto tiled_1 = score_windows(store, windows, tiny);
-  const auto tiled_5 = score_windows(store, windows, odd);
+/// The sweep's contract, restated on the per-pair oracle: every pair
+/// (a < b) in ascending (a, b) order, summed left to right.
+WindowScore oracle_score(const PackedGenotypeMatrix& store,
+                         const ga::WindowSpec& window, double strong_r2) {
+  WindowScore score;
+  score.window = window;
+  double sum_r2 = 0.0;
+  double sum_dprime = 0.0;
+  for (std::uint32_t a = 0; a < window.count; ++a) {
+    for (std::uint32_t b = a + 1; b < window.count; ++b) {
+      const PairLd ld =
+          composite_pair_ld(store, window.begin + a, window.begin + b);
+      ++score.pairs;
+      sum_r2 += ld.r2;
+      sum_dprime += ld.d_prime;
+      score.max_r2 = std::max(score.max_r2, ld.r2);
+      if (ld.r2 >= strong_r2) ++score.strong_pairs;
+    }
+  }
+  if (score.pairs > 0) {
+    score.mean_r2 = sum_r2 / static_cast<double>(score.pairs);
+    score.mean_abs_d_prime = sum_dprime / static_cast<double>(score.pairs);
+  }
+  score.score = score.mean_r2;
+  return score;
+}
 
-  ASSERT_EQ(reference.size(), windows.size());
-  for (std::size_t w = 0; w < reference.size(); ++w) {
-    for (const auto* other : {&tiled_1[w], &tiled_5[w]}) {
-      EXPECT_EQ(other->pairs, reference[w].pairs);
-      EXPECT_EQ(other->strong_pairs, reference[w].strong_pairs);
-      EXPECT_DOUBLE_EQ(other->max_r2, reference[w].max_r2);
-      // The tile order changes the summation order, so means agree to
-      // rounding, not bit-for-bit.
-      EXPECT_NEAR(other->mean_r2, reference[w].mean_r2, 1e-12);
-      EXPECT_NEAR(other->mean_abs_d_prime, reference[w].mean_abs_d_prime,
-                  1e-12);
+void expect_identical(const WindowScore& got, const WindowScore& want) {
+  EXPECT_EQ(got.window.begin, want.window.begin);
+  EXPECT_EQ(got.window.count, want.window.count);
+  EXPECT_EQ(got.pairs, want.pairs);
+  EXPECT_EQ(got.strong_pairs, want.strong_pairs);
+  // Bit-identical, not merely close: EXPECT_EQ on the doubles.
+  EXPECT_EQ(got.max_r2, want.max_r2);
+  EXPECT_EQ(got.mean_r2, want.mean_r2);
+  EXPECT_EQ(got.mean_abs_d_prime, want.mean_abs_d_prime);
+  EXPECT_EQ(got.score, want.score);
+}
+
+TEST(LdPrefilter, WindowSizeSweepMatchesPairOracle) {
+  // Window sizes around the 64-SNP vector/stride edges and one wide
+  // window, over cohorts with a partial last word, with and without
+  // missing calls, at 1, 2 and 4 scoring threads.
+  const std::vector<ga::WindowSpec> windows{{0, 1},  {5, 2},  {0, 63},
+                                            {1, 64}, {7, 65}, {3, 300}};
+  for (const std::uint32_t individuals : {130u, 64u}) {
+    for (const double missing_rate : {0.0, 0.03}) {
+      const PackedGenotypeMatrix store =
+          linked_panel(individuals, 310, missing_rate, 17 + individuals);
+      std::vector<WindowScore> expected;
+      for (const auto& window : windows) {
+        expected.push_back(oracle_score(store, window, 0.2));
+      }
+      for (const std::uint32_t workers : {1u, 2u, 4u}) {
+        LdPrefilterConfig config;
+        config.workers = workers;
+        const auto scores = score_windows(store, windows, config);
+        ASSERT_EQ(scores.size(), windows.size());
+        for (std::size_t w = 0; w < windows.size(); ++w) {
+          SCOPED_TRACE(::testing::Message()
+                       << "individuals=" << individuals << " missing="
+                       << missing_rate << " workers=" << workers
+                       << " window=" << windows[w].count);
+          expect_identical(scores[w], expected[w]);
+        }
+      }
     }
   }
 }
 
-TEST(LdPrefilter, ThreadCountDoesNotChangeScores) {
-  // Unlike tile size (which reorders the pair sums), the worker count
-  // must not move a single bit: every tile folds into its own partial
-  // and the partials reduce in fixed tile order on the caller, whether
-  // a pool ran or not.
-  const genomics::Dataset dataset =
-      ldga::testing::small_synthetic(30, 2, 7).dataset;
-  const PackedGenotypeMatrix store(dataset.genotypes());
-  const std::vector<ga::WindowSpec> windows = ga::plan_windows(30, 12, 6);
+TEST(LdPrefilter, SweepMatchesPairOracleAtEveryDispatchLevel) {
+  const PackedGenotypeMatrix store = linked_panel(200, 90, 0.02, 5);
+  const std::vector<ga::WindowSpec> windows = ga::plan_windows(90, 64, 13);
+  std::vector<WindowScore> expected;
+  for (const auto& window : windows) {
+    expected.push_back(oracle_score(store, window, 0.2));
+  }
+  for (const util::SimdLevel level : util::simd_available_levels()) {
+    util::simd_force_level(level);
+    const auto scores = score_windows(store, windows);
+    ASSERT_EQ(scores.size(), windows.size());
+    for (std::size_t w = 0; w < windows.size(); ++w) {
+      SCOPED_TRACE(util::simd_level_name(level));
+      expect_identical(scores[w], expected[w]);
+    }
+  }
+  util::simd_force_level(std::nullopt);
+}
 
-  LdPrefilterConfig serial;
-  serial.tile_snps = 5;  // several tiles per window, so the pool engages
-  const auto reference = score_windows(store, windows, serial);
+TEST(LdPrefilter, ThreadCountDoesNotChangeScores) {
+  // Each window is summed by one thread in fixed pair order and
+  // emitted in window order, so the worker count must not move a
+  // single bit. Enough windows that every worker claims several.
+  const PackedGenotypeMatrix store = linked_panel(150, 400, 0.01, 7);
+  const std::vector<ga::WindowSpec> windows = ga::plan_windows(400, 24, 5);
+
+  const auto reference = score_windows(store, windows);  // 1 worker
   for (const std::uint32_t workers : {2u, 3u, 7u}) {
-    LdPrefilterConfig parallel = serial;
+    LdPrefilterConfig parallel;
     parallel.workers = workers;
     const auto scored = score_windows(store, windows, parallel);
     ASSERT_EQ(scored.size(), reference.size());
     for (std::size_t w = 0; w < reference.size(); ++w) {
-      EXPECT_EQ(scored[w].pairs, reference[w].pairs);
-      EXPECT_EQ(scored[w].strong_pairs, reference[w].strong_pairs);
-      EXPECT_EQ(scored[w].max_r2, reference[w].max_r2);
-      EXPECT_EQ(scored[w].mean_r2, reference[w].mean_r2);
-      EXPECT_EQ(scored[w].mean_abs_d_prime, reference[w].mean_abs_d_prime);
-      EXPECT_EQ(scored[w].score, reference[w].score);
+      expect_identical(scored[w], reference[w]);
     }
   }
 }
@@ -226,7 +305,6 @@ TEST(LdPrefilter, StreamingSweepEmitsBatchScoresInOrder) {
   const std::vector<ga::WindowSpec> windows = ga::plan_windows(30, 12, 6);
 
   LdPrefilterConfig config;
-  config.tile_snps = 5;
   config.workers = 3;  // the shared pool must not change a bit either
   const auto batch = score_windows(store, windows, config);
   std::vector<WindowScore> streamed;
@@ -331,11 +409,44 @@ TEST(LdPrefilter, StreamingAdmissionReleasesEarlyWhenProvable) {
   }
 }
 
-TEST(LdPrefilter, ConfigRejectsBadKnobs) {
-  LdPrefilterConfig zero_tile;
-  zero_tile.tile_snps = 0;
-  EXPECT_THROW(zero_tile.validate(), ConfigError);
+TEST(LdPrefilter, StreamingAdmissionEqualsFullRankingOnLargeTiedScan) {
+  // A genome-scale offer stream: 5000 windows whose scores take only
+  // eleven values (heavy ties, the ceiling included), offered in
+  // genomic, reversed and shuffled order. The admitted set must equal
+  // the full ranking's, and each window be released at most once.
+  constexpr std::uint32_t kWindows = 5000;
+  Rng rng(99);
+  std::vector<WindowScore> scores(kWindows);
+  for (std::uint32_t i = 0; i < kWindows; ++i) {
+    scores[i].window = {i * 48, 64};
+    scores[i].score = static_cast<double>(rng.below(11)) / 10.0;
+  }
+  std::vector<std::size_t> forward(kWindows);
+  std::iota(forward.begin(), forward.end(), 0u);
+  std::vector<std::size_t> shuffled = forward;
+  rng.shuffle(std::span<std::size_t>(shuffled));
+  const std::vector<std::vector<std::size_t>> orders{
+      forward, {forward.rbegin(), forward.rend()}, shuffled};
 
+  for (const std::uint32_t keep : {0u, 1u, 8u, 450u, 4999u, 5000u}) {
+    const auto expected = begins_of(top_windows(scores, keep));
+    for (const auto& order : orders) {
+      StreamingTopK admission(kWindows, keep);
+      std::vector<std::uint32_t> admitted;
+      for (const std::size_t i : order) {
+        for (const WindowScore& released : admission.offer(scores[i])) {
+          admitted.push_back(released.window.begin);
+        }
+        ASSERT_LE(admission.admitted(), keep);
+      }
+      EXPECT_TRUE(admission.complete());
+      std::sort(admitted.begin(), admitted.end());
+      EXPECT_EQ(admitted, expected) << "keep=" << keep;
+    }
+  }
+}
+
+TEST(LdPrefilter, ConfigRejectsBadKnobs) {
   LdPrefilterConfig bad_threshold;
   bad_threshold.strong_r2 = 1.5;
   EXPECT_THROW(bad_threshold.validate(), ConfigError);

@@ -192,6 +192,134 @@ TEST(SimdKernelsTest, PlaneCountsTails) {
   }
 }
 
+/// pair_block_counts' contract, one popcount at a time: out[k·n + j]
+/// for k = (a0,b0), (a0,b1), (a1,b0), (a1,b1).
+std::vector<std::uint32_t> naive_block_counts(
+    const std::vector<std::uint64_t>& a0, const std::vector<std::uint64_t>& a1,
+    const std::uint64_t* b0, const std::uint64_t* b1, std::size_t stride,
+    std::size_t words, std::size_t n) {
+  std::vector<std::uint32_t> out(4 * n, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t r0 = b0[w * stride + j];
+      const std::uint64_t r1 = b1[w * stride + j];
+      out[j] += static_cast<std::uint32_t>(std::popcount(a0[w] & r0));
+      out[n + j] += static_cast<std::uint32_t>(std::popcount(a0[w] & r1));
+      out[2 * n + j] += static_cast<std::uint32_t>(std::popcount(a1[w] & r0));
+      out[3 * n + j] += static_cast<std::uint32_t>(std::popcount(a1[w] & r1));
+    }
+  }
+  return out;
+}
+
+TEST(SimdKernelsTest, PairBlockCountsWordsAndBlockLengths) {
+  // Every word count 0–67 against every block length 0–67, the block
+  // read from an offset column of a wider word-major array (stride >
+  // n), so vector bodies, masked and scalar tails and the byte-counter
+  // flush points all get exercised. a0 is all ones and every third
+  // block SNP's b0 column too, so those lanes count 64 per word over
+  // the whole word range — past any byte counter that misses a flush.
+  constexpr std::size_t kMax = 67;
+  constexpr std::size_t kStride = kMax + 5;
+  for (const SimdLevel level : levels()) {
+    simd_force_level(level);
+    const SimdKernels& kernels = simd();
+    for (std::size_t words = 0; words <= kMax; ++words) {
+      auto a0 = random_words(words, 7 * words + 1);
+      auto a1 = random_words(words, 7 * words + 2);
+      auto b0 = random_words(words * kStride, 7 * words + 3);
+      auto b1 = random_words(words * kStride, 7 * words + 4);
+      for (std::size_t w = 0; w < words; ++w) {
+        a0[w] = ~std::uint64_t{0};
+        for (std::size_t j = 0; j < kStride; j += 3) {
+          b0[w * kStride + j] = ~std::uint64_t{0};
+        }
+      }
+      for (std::size_t n = 0; n <= kMax; ++n) {
+        const std::uint64_t* block0 = b0.data() + 3;
+        const std::uint64_t* block1 = b1.data() + 3;
+        const auto expected =
+            naive_block_counts(a0, a1, block0, block1, kStride, words, n);
+        std::vector<std::uint32_t> got(4 * n + 1, 0xDEADBEEFu);
+        kernels.pair_block_counts(a0.data(), a1.data(), block0, block1,
+                                  kStride, words, n, got.data());
+        EXPECT_EQ(got.back(), 0xDEADBEEFu) << "wrote past 4n";
+        got.pop_back();
+        ASSERT_EQ(got, expected) << simd_level_name(level)
+                                 << " words=" << words << " n=" << n;
+      }
+    }
+  }
+  simd_force_level(std::nullopt);
+}
+
+TEST(SimdKernelsTest, PairBlockCountsAreJointGenotypeCounts) {
+  // The prefilter's use: planes masked by validity (a missing call is
+  // (0, 0)), so the four counts are joint genotype-class tallies over
+  // individuals typed at both loci. Checked against per-individual
+  // counting from the genotypes themselves, at cohort sizes on the
+  // word edges, with and without missing calls.
+  constexpr std::size_t kBlock = 67;
+  for (const std::uint32_t individuals : {1u, 63u, 64u, 65u, 300u}) {
+    for (const double missing_rate : {0.0, 0.1}) {
+      const std::size_t words = (individuals + 63) / 64;
+      Rng rng(individuals * 31 + (missing_rate > 0.0 ? 1 : 0));
+      // genotypes[s][i]: 0 HomOne, 1 Het, 2 HomTwo, 3 Missing.
+      std::vector<std::vector<int>> genotypes(kBlock + 1,
+                                              std::vector<int>(individuals));
+      for (auto& column : genotypes) {
+        for (auto& g : column) {
+          g = rng.bernoulli(missing_rate) ? 3 : static_cast<int>(rng.below(3));
+        }
+      }
+      // SNP 0 is the row SNP; SNPs 1..kBlock are the word-major block.
+      const auto planes = [&](std::size_t s, std::vector<std::uint64_t>& lo,
+                              std::vector<std::uint64_t>& hi) {
+        lo.assign(words, 0);
+        hi.assign(words, 0);
+        for (std::uint32_t i = 0; i < individuals; ++i) {
+          const int g = genotypes[s][i];
+          const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+          if (g == 1) lo[i / 64] |= bit;  // lo' = lo ∧ V
+          if (g == 2) hi[i / 64] |= bit;  // hi' = hi ∧ V
+        }
+      };
+      std::vector<std::uint64_t> a_lo, a_hi, lo, hi;
+      planes(0, a_lo, a_hi);
+      std::vector<std::uint64_t> col_lo(words * kBlock), col_hi(words * kBlock);
+      for (std::size_t j = 0; j < kBlock; ++j) {
+        planes(j + 1, lo, hi);
+        for (std::size_t w = 0; w < words; ++w) {
+          col_lo[w * kBlock + j] = lo[w];
+          col_hi[w * kBlock + j] = hi[w];
+        }
+      }
+      std::vector<std::uint32_t> expected(4 * kBlock, 0);
+      for (std::size_t j = 0; j < kBlock; ++j) {
+        for (std::uint32_t i = 0; i < individuals; ++i) {
+          const int ga = genotypes[0][i];
+          const int gb = genotypes[j + 1][i];
+          expected[j] += ga == 1 && gb == 1;
+          expected[kBlock + j] += ga == 1 && gb == 2;
+          expected[2 * kBlock + j] += ga == 2 && gb == 1;
+          expected[3 * kBlock + j] += ga == 2 && gb == 2;
+        }
+      }
+      for (const SimdLevel level : levels()) {
+        simd_force_level(level);
+        std::vector<std::uint32_t> got(4 * kBlock);
+        simd().pair_block_counts(a_lo.data(), a_hi.data(), col_lo.data(),
+                                 col_hi.data(), kBlock, words, kBlock,
+                                 got.data());
+        EXPECT_EQ(got, expected)
+            << simd_level_name(level) << " individuals=" << individuals
+            << " missing=" << missing_rate;
+      }
+    }
+  }
+  simd_force_level(std::nullopt);
+}
+
 TEST(SimdKernelsTest, FloatKernelsMatchScalarTo1e9) {
   const SimdKernels& scalar = simd_kernels_for(SimdLevel::kScalar);
   Rng rng(404);
