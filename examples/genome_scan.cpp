@@ -22,6 +22,8 @@
 //   --seed S                  scan seed [3]
 //   --store PATH              where the synthetic panel is written
 //                             [<temp dir>/ldga_genome_scan_<pid>.pgs]
+//
+// Any other flag is an error: the scan stops before writing the store.
 #include <unistd.h>
 
 #include <cstdio>
@@ -41,6 +43,8 @@ int main(int argc, char** argv) {
   using namespace ldga;
   try {
     const CliArgs args(argc, argv);
+    args.reject_unknown({"engine", "concurrent-windows", "prefilter-workers",
+                         "keep", "snps", "seed", "store"});
     const std::string engine_name = args.get("engine", "sync");
     if (engine_name != "sync" && engine_name != "async") {
       throw ConfigError("--engine must be sync|async, got '" + engine_name +
@@ -106,11 +110,6 @@ int main(int argc, char** argv) {
     pipeline.scan.ga.max_generations = 120;
     pipeline.scan.ga.seed =
         static_cast<std::uint64_t>(args.get_int("seed", 3));
-
-    for (const auto& unknown : args.unused()) {
-      std::fprintf(stderr, "warning: unknown flag --%s ignored\n",
-                   unknown.c_str());
-    }
 
     const std::vector<ga::WindowSpec> tiling =
         ga::plan_windows(store.snp_count(), 64, 48);

@@ -27,14 +27,18 @@
 //                       generational engine, async runs each size class
 //                       as a steady-state island over evaluation lanes
 //                       (--workers then sets the lane count)
-//   --backend serial|pool|farm   evaluation backend [pool; sync only]
-//   --transport in-process|socket-unix|socket-tcp   farm message layer
-//                       [in-process]; socket-* forks worker processes
-//                       supervised with heartbeats + respawn
+//   --backend serial|pool|farm   evaluation backend [pool; sync only]:
+//                       farm is the paper's §4.5 master/slave farm over
+//                       in-process virtual-machine threads, with sealed,
+//                       CRC-checked messages
 //   --workers N         worker/slave count [hardware]
 //   --stat t1|t2|t3|t4|lrt       fitness statistic [t1]
 //   --seed S            base seed [1]
+//   --permutations P    label permutations per reported winner [0]
 //   --trace             print per-generation telemetry CSV to stderr
+//
+// Any other flag is an error: the run stops before loading or
+// simulating anything.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -54,22 +58,10 @@
 namespace {
 
 std::shared_ptr<ldga::stats::EvaluationBackend> make_backend(
-    const std::string& name, const std::string& transport,
-    const ldga::stats::HaplotypeEvaluator& evaluator,
+    const std::string& name, const ldga::stats::HaplotypeEvaluator& evaluator,
     std::uint32_t workers) {
   ldga::stats::BackendOptions options;
   options.workers = workers;
-  if (transport == "socket-unix" || transport == "socket-tcp") {
-    options.transport = ldga::stats::FarmTransport::kSocket;
-    options.socket.family =
-        transport == "socket-tcp"
-            ? ldga::parallel::SocketTransportConfig::Family::kTcp
-            : ldga::parallel::SocketTransportConfig::Family::kUnix;
-  } else if (transport != "in-process") {
-    throw ldga::ConfigError(
-        "--transport must be in-process|socket-unix|socket-tcp, got '" +
-        transport + "'");
-  }
   if (name == "serial") {
     return ldga::stats::make_serial_backend(evaluator, options);
   }
@@ -100,6 +92,11 @@ int main(int argc, char** argv) {
   using namespace ldga;
   try {
     const CliArgs args(argc, argv);
+    args.reject_unknown({"dataset", "ped", "map", "qc", "simulate", "snps",
+                         "active", "save", "runs", "min-size", "max-size",
+                         "population", "stagnation", "immigrants", "engine",
+                         "backend", "workers", "stat", "seed", "permutations",
+                         "trace"});
 
     // --- dataset ---------------------------------------------------
     genomics::Dataset dataset;
@@ -179,9 +176,7 @@ int main(int argc, char** argv) {
     // async engine owns its evaluation lanes instead.
     std::shared_ptr<stats::EvaluationBackend> backend;
     if (engine_name == "sync") {
-      backend = make_backend(args.get("backend", "pool"),
-                             args.get("transport", "in-process"), evaluator,
-                             workers);
+      backend = make_backend(args.get("backend", "pool"), evaluator, workers);
     }
     const bool trace = args.get_bool("trace");
     const auto runs = static_cast<std::uint32_t>(args.get_int("runs", 1));
@@ -189,11 +184,6 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(args.get_int("seed", 1));
     const auto permutations =
         static_cast<std::uint32_t>(args.get_int("permutations", 0));
-
-    for (const auto& unknown : args.unused()) {
-      std::fprintf(stderr, "warning: unknown flag --%s ignored\n",
-                   unknown.c_str());
-    }
 
     // --- runs ------------------------------------------------------------
     for (std::uint32_t run = 0; run < runs; ++run) {

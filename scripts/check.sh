@@ -7,15 +7,15 @@
 #   scripts/check.sh thread         # TSan build + ctest (parallel tests)
 #   scripts/check.sh all            # plain, then address, then thread
 #
-# Add --transport=socket (any position) to soak the cross-process
-# transport layer and the asynchronous island engine instead of the
-# whole suite: the socket/chaos/island tests run with LDGA_CHAOS_SOAK=1,
-# which multiplies the chaos-GA repetitions so respawn, requeue,
-# frame-corruption recovery, and straggler-chaos convergence to the
+# Add --soak (any position) to soak the master/slave farm and the
+# asynchronous island engine instead of the whole suite: the farm,
+# transport, chaos and island tests run with LDGA_CHAOS_SOAK=1, which
+# multiplies the chaos-GA repetitions so respawn, requeue,
+# corrupt-reply recovery, and straggler-chaos convergence to the
 # planted haplotype get exercised hard.
 #
-#   scripts/check.sh --transport=socket          # plain chaos soak
-#   scripts/check.sh thread --transport=socket   # chaos soak under TSan
+#   scripts/check.sh --soak          # plain chaos soak
+#   scripts/check.sh thread --soak   # chaos soak under TSan
 #
 # Each mode uses its own build directory (build/, build-asan/, build-tsan/)
 # so the presets can coexist.
@@ -23,20 +23,17 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-TRANSPORT=""
+SOAK=""
 MODE=""
 for arg in "$@"; do
   case "${arg}" in
-    --transport=*) TRANSPORT="${arg#--transport=}" ;;
+    --soak) SOAK=1 ;;
+    --*) echo "unknown option '${arg}' (expected --soak)" >&2
+         exit 2 ;;
     *) MODE="${arg}" ;;
   esac
 done
 MODE="${MODE:-plain}"
-
-if [[ -n "${TRANSPORT}" && "${TRANSPORT}" != "socket" ]]; then
-  echo "unknown transport '${TRANSPORT}' (expected socket)" >&2
-  exit 2
-fi
 
 run_mode() {
   local mode="$1" dir sanitize
@@ -52,11 +49,11 @@ run_mode() {
     -DLDGA_WARNINGS_AS_ERRORS=ON > /dev/null
   echo "== ${mode}: building"
   cmake --build "${dir}" -j "$(nproc)"
-  if [[ "${TRANSPORT}" == "socket" ]]; then
-    echo "== ${mode}: chaos-soaking the socket transport"
+  if [[ -n "${SOAK}" ]]; then
+    echo "== ${mode}: chaos-soaking the master/slave farm"
     LDGA_CHAOS_SOAK=1 ctest --test-dir "${dir}" --output-on-failure \
       -j "$(nproc)" \
-      -R 'Transport|Chaos|MasterSlave|FarmFaultTolerance|BackendConformance|Mailbox|ProcessSupervisor|Socket|Crc32|SealedPayload|FrameCodec|Island|EvaluationStream|Straggler'
+      -R 'Chaos|MasterSlave|FarmFaultTolerance|BackendConformance|Mailbox|InProcessTransport|Crc32|SealedPayload|Island|EvaluationStream|Straggler'
   else
     echo "== ${mode}: testing"
     ctest --test-dir "${dir}" --output-on-failure -j "$(nproc)"

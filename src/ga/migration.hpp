@@ -2,9 +2,7 @@
 //
 // Each island owns one parallel::Mailbox; elites and cross-size
 // offspring travel between islands as sealed PVM-style messages (the
-// same Packer/Unpacker wire discipline the evaluation farm uses, so a
-// future multi-process island engine can swap the in-process mailbox
-// for a socket transport without touching the island logic). Sends
+// same Packer/Unpacker wire discipline the evaluation farm uses). Sends
 // never block and receives are non-blocking drains — an island that
 // has fallen behind simply finds more mail at its next loop top; no
 // sender ever waits on a receiver, which is the property that keeps

@@ -34,13 +34,13 @@ struct FarmPolicy {
   /// Wall-clock budget for one run() call; zero means unlimited.
   std::chrono::milliseconds phase_deadline{0};
   /// Wall-clock budget for one dispatched task. When it expires the
-  /// worker is declared lost (hung process, dropped frame) and the task
+  /// worker is declared lost (hung worker, dropped reply) and the task
   /// is requeued elsewhere. Zero means unlimited — no liveness
   /// tracking, matching the original in-process farm.
   std::chrono::milliseconds task_deadline{0};
   /// Delay before respawning a *crashed* worker, doubling per
   /// consecutive loss on the same rank up to the cap — a crash-looping
-  /// rank must not busy-spin fork(). (Quarantine respawns of live
+  /// rank must not busy-spin respawns. (Quarantine respawns of live
   /// workers stay immediate.)
   std::chrono::milliseconds respawn_backoff{10};
   std::chrono::milliseconds respawn_backoff_cap{1000};
@@ -114,9 +114,8 @@ struct FarmStats {
   std::uint64_t quarantines = 0;      ///< slaves taken out of rotation
   std::uint64_t respawns = 0;         ///< replacement slaves spawned
   std::uint64_t stale_discarded = 0;  ///< replies from other phases dropped
-  std::uint64_t worker_losses = 0;    ///< crashes/disconnects/deadlines
+  std::uint64_t worker_losses = 0;    ///< kills/disconnects/deadlines
   std::uint64_t corrupt_frames = 0;   ///< replies failing their CRC
-  std::uint64_t heartbeats = 0;       ///< liveness signals received
   std::uint64_t master_degraded_tasks = 0;  ///< tasks run on the master
 };
 

@@ -170,7 +170,7 @@ void FaultInjector::apply_before_work(const FaultDecision& decision) {
     case FaultDecision::Kind::kStaleReply:
     case FaultDecision::Kind::kNone:
     // Transport faults need a transport; on a plain callable (serial /
-    // thread-pool backends) there is no frame to drop, so they degrade
+    // thread-pool backends) there is no reply to drop, so they degrade
     // to no-ops rather than faking a different failure mode.
     case FaultDecision::Kind::kDropReply:
     case FaultDecision::Kind::kCorruptReply:

@@ -10,9 +10,9 @@
 // Two ways to use it:
 //   - hand a shared_ptr to MasterSlaveFarm: the *master* consults
 //     decide() at dispatch time and ships the directive inside the work
-//     message, so attempt tracking stays global even when workers are
-//     separate processes (enables stale replies and transport faults:
-//     dropped/corrupted frames, disconnects, worker kills);
+//     message, so attempt tracking stays global across slaves and
+//     respawns (enables stale replies and transport faults: dropped or
+//     corrupted replies, disconnects, worker kills);
 //   - wrap() any plain worker callable: exceptions and delays only,
 //     indexed by a global call counter (for thread-pool backends).
 #pragma once
@@ -40,7 +40,7 @@ struct FaultDecision {
     kDropReply,    ///< compute, then never send the reply
     kCorruptReply, ///< compute, then send a checksum-breaking reply
     kDisconnect,   ///< drop the connection to the master and exit
-    kKillWorker,   ///< die instantly, mid-protocol (SIGKILL-equivalent)
+    kKillWorker,   ///< die instantly, mid-protocol (kill -9 equivalent)
   };
   Kind kind = Kind::kNone;
   std::chrono::milliseconds delay{0};

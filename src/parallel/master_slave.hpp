@@ -9,24 +9,25 @@
 // through the wire format via the farm_pack / farm_unpack customization
 // points below, which keeps the discipline honest: everything that
 // crosses the master/slave boundary is serialized, exactly as it would
-// be over PVM. It is also generic over the *transport* (transport.hpp):
-// the same farm logic runs over in-process mailboxes (default) or over
-// checksummed socket frames to forked worker processes.
+// be over PVM. Slaves are VirtualMachine threads behind the
+// InProcessTransport (transport.hpp), and every payload is sealed with
+// a CRC-32 on its way through their mailboxes.
 //
 // Fault tolerance (FarmPolicy): a failed evaluation is retried on a
 // different slave; a slave that fails repeatedly is quarantined and
-// optionally respawned; a worker that crashes, disconnects, corrupts a
-// frame, or blows its per-task deadline is declared lost, its in-flight
-// task requeued, and a replacement respawned after an exponential
-// backoff; when every worker is gone the farm can degrade to computing
-// on the master itself (degrade_to_master). The phase aborts with
-// FarmPhaseError — carrying the failing task index and its attempt
-// history — only when a task exhausts its retries, no healthy slave
-// remains (and degradation is off), or the optional phase deadline
-// expires. A deterministic FaultInjector can be attached to drive every
-// one of those paths in tests; its decisions are taken by the master at
-// dispatch time and shipped inside the work message, so attempt
-// tracking stays global even when workers are separate processes.
+// optionally respawned; a corrupt reply counts as a failed attempt; a
+// worker that is killed, disconnects, or blows its per-task deadline
+// is declared lost, its in-flight task requeued, and a replacement
+// respawned after an exponential backoff; when every worker is gone
+// the farm can degrade to computing on the master itself
+// (degrade_to_master). The phase aborts with FarmPhaseError — carrying
+// the failing task index and its attempt history — only when a task
+// exhausts its retries, no healthy slave remains (and degradation is
+// off), or the optional phase deadline expires. A deterministic
+// FaultInjector can be attached to drive every one of those paths in
+// tests; its decisions are taken by the master at dispatch time and
+// shipped inside the work message, so attempt tracking stays global
+// across slaves and respawns.
 #pragma once
 
 #include <algorithm>
@@ -91,28 +92,22 @@ class MasterSlaveFarm {
   /// worker closure typically captures a reference to the shared,
   /// immutable dataset/evaluator). `injector`, when set, is consulted
   /// by the master before every dispatch (test fault injection).
-  /// `transport_factory` selects the message layer; null means
-  /// in-process threads.
   MasterSlaveFarm(std::uint32_t slave_count, Worker worker,
                   FarmPolicy policy = {},
-                  std::shared_ptr<FaultInjector> injector = nullptr,
-                  TransportFactory transport_factory = nullptr)
+                  std::shared_ptr<FaultInjector> injector = nullptr)
       : worker_(std::move(worker)),
         policy_(policy),
-        injector_(std::move(injector)) {
+        injector_(std::move(injector)),
+        transport_([worker = worker_](WorkerChannel& channel) {
+          slave_loop(channel, worker);
+        }) {
     LDGA_EXPECTS(slave_count >= 1);
     LDGA_EXPECTS(worker_ != nullptr);
     policy_.validate();
-    Transport::WorkerBody body = [worker = worker_](WorkerChannel& channel) {
-      slave_loop(channel, worker);
-    };
-    transport_ = transport_factory != nullptr
-                     ? transport_factory(std::move(body))
-                     : make_in_process_transport(std::move(body));
     stats_.per_slave_tasks.assign(slave_count, 0);
     slaves_.resize(slave_count);
     for (std::uint32_t rank = 0; rank < slave_count; ++rank) {
-      attach(rank, transport_->spawn_worker());
+      attach(rank, transport_.spawn_worker());
     }
     healthy_ = slave_count;
   }
@@ -120,11 +115,11 @@ class MasterSlaveFarm {
   ~MasterSlaveFarm() {
     // Orderly shutdown: each live slave exits its loop on kShutdown;
     // retired/lost/quarantined workers are already gone, and the
-    // transport destructor joins or reaps whatever remains.
+    // transport destructor joins whatever remains.
     for (const auto& slave : slaves_) {
       if (slave.quarantined || slave.lost) continue;
       try {
-        transport_->send_to_worker(slave.id, farm_tag::kShutdown, Packer{});
+        transport_.send_to_worker(slave.id, farm_tag::kShutdown, Packer{});
       } catch (const ParallelError&) {
         // Worker or machine already gone; the transport cleans up.
       }
@@ -138,8 +133,6 @@ class MasterSlaveFarm {
     return static_cast<std::uint32_t>(slaves_.size());
   }
   std::uint32_t healthy_slave_count() const { return healthy_; }
-
-  std::string_view transport_name() const { return transport_->name(); }
 
   /// One synchronous evaluation phase: scores every task, returning
   /// results in task order. Dynamic (first-free-slave) scheduling with
@@ -213,7 +206,7 @@ class MasterSlaveFarm {
                          policy_.respawn_backoff_cap);
     };
 
-    // A worker is gone (crash, disconnect, corrupt stream, deadline):
+    // A worker is gone (kill, disconnect, body escape, deadline):
     // retire it, requeue its in-flight task as a failed attempt, and
     // run the quarantine/respawn ladder. Losses always need a respawn
     // (unlike error replies, where the slave itself survives), so a
@@ -224,7 +217,7 @@ class MasterSlaveFarm {
       auto& slave = slaves_[rank];
       if (slave.quarantined || slave.lost) return;
       ++stats_.worker_losses;
-      transport_->retire_worker(slave.id);
+      transport_.retire_worker(slave.id);
       rank_by_task_.erase(slave.id);
       idle.erase(std::remove(idle.begin(), idle.end(), rank), idle.end());
       --healthy_;
@@ -252,13 +245,7 @@ class MasterSlaveFarm {
       for (std::uint32_t rank = 0; rank < slaves_.size(); ++rank) {
         auto& slave = slaves_[rank];
         if (!slave.lost || now < slave.respawn_due) continue;
-        try {
-          attach(rank, transport_->spawn_worker());
-        } catch (const SpawnError&) {
-          ++slave.loss_streak;
-          schedule_respawn(rank, now);
-          continue;
-        }
+        attach(rank, transport_.spawn_worker());
         slave.lost = false;
         ++healthy_;
         ++stats_.respawns;
@@ -329,12 +316,12 @@ class MasterSlaveFarm {
       if (++slave.consecutive_failures >= policy_.quarantine_after) {
         ++stats_.quarantines;
         rank_by_task_.erase(slave.id);
-        transport_->retire_worker(slave.id);
+        transport_.retire_worker(slave.id);
         slave.consecutive_failures = 0;
         if (policy_.respawn_quarantined) {
           // The old worker was merely failing, not dead: replace it
           // immediately, no crash backoff.
-          attach(rank, transport_->spawn_worker());
+          attach(rank, transport_.spawn_worker());
           ++stats_.respawns;
           idle.push_back(rank);
         } else {
@@ -456,9 +443,9 @@ class MasterSlaveFarm {
         if (wait < std::chrono::milliseconds(1)) {
           wait = std::chrono::milliseconds(1);
         }
-        received = transport_->receive_for(wait);
+        received = transport_.receive_for(wait);
       } else {
-        received = transport_->receive();
+        received = transport_.receive();
       }
       if (!received) {
         handle_task_deadlines(Clock::now());
@@ -466,11 +453,6 @@ class MasterSlaveFarm {
       }
       const Message reply = std::move(*received);
       now = Clock::now();
-
-      if (reply.tag == transport_tag::kHeartbeat) {
-        ++stats_.heartbeats;
-        continue;
-      }
 
       const auto found = rank_by_task_.find(reply.source);
       if (found == rank_by_task_.end()) {
@@ -488,19 +470,13 @@ class MasterSlaveFarm {
       if (reply.tag == transport_tag::kCorruptFrame) {
         ++stats_.corrupt_frames;
         Unpacker unpacker = reply.unpacker();
-        const std::string detail = unpacker.unpack_string();
-        if (!transport_->worker_alive(slave.id)) {
-          // Socket stream: unrecoverable; the transport's kWorkerLost
-          // follows and does the requeue/ladder work.
-          continue;
-        }
-        // In-process: only the one reply was damaged, the worker is
-        // fine — treat it like an error reply for its in-flight task.
+        // Only the one reply was damaged, the worker is fine — treat
+        // it like an error reply for its in-flight task.
         if (slave.busy_task) {
           const std::size_t index = *slave.busy_task;
           slave.busy_task.reset();
           --outstanding;
-          fail_attempt(index, rank, detail);
+          fail_attempt(index, rank, unpacker.unpack_string());
           handle_slave_failure(rank);
         }
         continue;
@@ -548,8 +524,7 @@ class MasterSlaveFarm {
     // End-of-phase maintenance: a fast phase can finish before a lost
     // slave's respawn backoff elapses. Wait the (bounded) backoffs out
     // and bring the ranks back now, so a completed phase always hands
-    // the next one a full-strength farm. One spawn attempt per rank; a
-    // failing spawn stays scheduled and the next phase keeps trying.
+    // the next one a full-strength farm.
     {
       std::optional<Clock::time_point> last_due;
       for (const auto& slave : slaves_) {
@@ -581,8 +556,8 @@ class MasterSlaveFarm {
     std::chrono::steady_clock::time_point respawn_due{};
   };
 
-  /// Runs inside each worker (thread or forked process): execute work
-  /// messages, honouring the fault directive the master packed in.
+  /// Runs inside each worker thread: execute work messages, honouring
+  /// the fault directive the master packed in.
   static void slave_loop(WorkerChannel& channel, const Worker& worker) {
     using Kind = FaultDecision::Kind;
     for (;;) {
@@ -670,13 +645,13 @@ class MasterSlaveFarm {
     packer.pack(static_cast<std::uint32_t>(fault.kind));
     packer.pack(static_cast<std::int64_t>(fault.delay.count()));
     farm_pack(packer, task);
-    transport_->send_to_worker(worker, farm_tag::kWork, std::move(packer));
+    transport_.send_to_worker(worker, farm_tag::kWork, std::move(packer));
   }
 
   Worker worker_;
   FarmPolicy policy_;
   std::shared_ptr<FaultInjector> injector_;
-  std::unique_ptr<Transport> transport_;
+  InProcessTransport transport_;
   std::vector<Slave> slaves_;  ///< index = rank; id updated on respawn
   std::unordered_map<TaskId, std::uint32_t> rank_by_task_;
   std::uint32_t healthy_ = 0;

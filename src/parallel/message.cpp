@@ -44,6 +44,9 @@ void Unpacker::get_raw(void* out, std::size_t size) {
   if (cursor_ + size > bytes_.size()) {
     throw ParallelError("Unpacker: truncated message payload");
   }
+  // An empty vector's data() may be null, and memcpy with a null
+  // pointer is undefined even for zero bytes.
+  if (size == 0) return;
   std::memcpy(out, bytes_.data() + cursor_, size);
   cursor_ += size;
 }

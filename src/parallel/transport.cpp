@@ -1,211 +1,149 @@
 #include "parallel/transport.hpp"
 
-#include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "parallel/frame.hpp"
-#include "parallel/virtual_machine.hpp"
 #include "util/error.hpp"
 
 namespace ldga::parallel {
 
 namespace {
 
-class InProcessTransport;
-
-/// WorkerChannel over a VirtualMachine TaskContext. send() already
-/// seals; the corrupt fault re-seals by hand so it can flip a bit
-/// *after* the CRC was computed.
-class InProcessChannel final : public WorkerChannel {
- public:
-  explicit InProcessChannel(TaskContext& context) : context_(context) {}
-
-  TaskId id() const override { return context_.id(); }
-
-  void send_to_master(std::int32_t tag, Packer payload,
-                      FrameFault fault) override {
-    switch (fault) {
-      case FrameFault::kNone:
-        context_.send(kMasterTask, tag, std::move(payload));
-        return;
-      case FrameFault::kDrop:
-        return;
-      case FrameFault::kCorrupt: {
-        auto sealed = seal_payload(std::move(payload).take());
-        sealed.back() ^= 0x20u;  // last byte: payload tail, or the CRC
-        context_.send_raw(kMasterTask, tag, std::move(sealed));
-        return;
-      }
-    }
-  }
-
-  Message receive_from_master() override {
-    return context_.receive(kMasterTask);
-  }
-
-  [[noreturn]] void die(const std::string& reason) override {
-    throw WorkerTerminated{reason};
-  }
-
-  [[noreturn]] void disconnect() override {
-    throw WorkerTerminated{"worker disconnected"};
-  }
-
- private:
-  TaskContext& context_;
-};
-
-class InProcessTransport final : public Transport {
- public:
-  explicit InProcessTransport(WorkerBody body) : body_(std::move(body)) {
-    LDGA_EXPECTS(body_ != nullptr);
-  }
-
-  ~InProcessTransport() override {
-    {
-      std::lock_guard lock(mutex_);
-      shutting_down_ = true;
-    }
-    vm_.halt();
-  }
-
-  TaskId spawn_worker() override {
-    const TaskId id =
-        vm_.spawn([this](TaskContext& context) { run_worker(context); });
-    std::lock_guard lock(mutex_);
-    workers_.try_emplace(id);
-    return id;
-  }
-
-  void send_to_worker(TaskId worker, std::int32_t tag,
-                      Packer payload) override {
-    {
-      std::lock_guard lock(mutex_);
-      const auto it = workers_.find(worker);
-      if (it == workers_.end()) {
-        throw TransportError("send to unknown worker " +
-                             std::to_string(worker));
-      }
-      if (it->second.exited || it->second.retired) {
-        throw TransportClosed("worker " + std::to_string(worker) +
-                              " is gone");
-      }
-    }
-    master_.send(worker, tag, std::move(payload));
-  }
-
-  Message receive() override {
-    try {
-      return master_.receive();
-    } catch (const WireProtocolError& e) {
-      return corrupt_frame_message(e);
-    }
-  }
-
-  std::optional<Message> receive_for(
-      std::chrono::milliseconds timeout) override {
-    try {
-      return master_.receive_for(timeout);
-    } catch (const WireProtocolError& e) {
-      return corrupt_frame_message(e);
-    }
-  }
-
-  bool worker_alive(TaskId worker) const override {
-    std::lock_guard lock(mutex_);
-    const auto it = workers_.find(worker);
-    return it != workers_.end() && !it->second.exited && !it->second.retired;
-  }
-
-  void retire_worker(TaskId worker) override {
-    {
-      std::lock_guard lock(mutex_);
-      const auto it = workers_.find(worker);
-      if (it == workers_.end()) return;
-      it->second.retired = true;
-    }
-    // Unblocks the worker's pending receive with TransportClosed; the
-    // thread then returns and is joined at halt().
-    vm_.close_mailbox(worker);
-  }
-
-  std::string_view name() const override { return "in-process"; }
-
- private:
-  struct WorkerState {
-    bool exited = false;
-    bool retired = false;
-  };
-
-  static Message corrupt_frame_message(const WireProtocolError& e) {
-    Packer packer;
-    packer.pack_string(e.what());
-    Message message;
-    message.source = e.source();
-    message.tag = transport_tag::kCorruptFrame;
-    message.payload = std::move(packer).take();
-    return message;
-  }
-
-  void run_worker(TaskContext& context) {
-    InProcessChannel channel(context);
-    std::string reason;
-    bool graceful = false;
-    try {
-      // Each worker runs its own copy of the body: worker closures may
-      // carry mutable by-value state (e.g. evaluation scratch arenas)
-      // that must not be shared across slave threads.
-      WorkerBody body = body_;
-      body(channel);
-      graceful = true;
-    } catch (const TransportClosed&) {
-      graceful = true;  // machine halting or worker retired
-    } catch (const WorkerTerminated& killed) {
-      reason = killed.reason;
-    } catch (const std::exception& e) {
-      reason = std::string("worker body threw: ") + e.what();
-    } catch (...) {
-      reason = "worker body threw a non-exception";
-    }
-    bool announce = !graceful;
-    {
-      std::lock_guard lock(mutex_);
-      auto& state = workers_[context.id()];
-      state.exited = true;
-      announce = announce && !state.retired && !shutting_down_;
-    }
-    if (announce) {
-      try {
-        Packer packer;
-        packer.pack_string(reason);
-        context.send(kMasterTask, transport_tag::kWorkerLost,
-                     std::move(packer));
-      } catch (const ParallelError&) {
-        // Master mailbox already closed; nobody left to tell.
-      }
-    }
-  }
-
-  VirtualMachine vm_;
-  TaskContext master_ = vm_.master_context();
-  WorkerBody body_;
-  mutable std::mutex mutex_;
-  std::unordered_map<TaskId, WorkerState> workers_;
-  bool shutting_down_ = false;
-};
+Message corrupt_frame_message(const WireProtocolError& e) {
+  Packer packer;
+  packer.pack_string(e.what());
+  Message message;
+  message.source = e.source();
+  message.tag = transport_tag::kCorruptFrame;
+  message.payload = std::move(packer).take();
+  return message;
+}
 
 }  // namespace
 
-std::unique_ptr<Transport> make_in_process_transport(
-    Transport::WorkerBody body) {
-  return std::make_unique<InProcessTransport>(std::move(body));
+// send() already seals; the corrupt fault re-seals by hand so it can
+// flip a bit *after* the CRC was computed.
+void WorkerChannel::send_to_master(std::int32_t tag, Packer payload,
+                                   FrameFault fault) {
+  switch (fault) {
+    case FrameFault::kNone:
+      context_.send(kMasterTask, tag, std::move(payload));
+      return;
+    case FrameFault::kDrop:
+      return;
+    case FrameFault::kCorrupt: {
+      auto sealed = seal_payload(std::move(payload).take());
+      sealed.back() ^= 0x20u;  // last byte: payload tail, or the CRC
+      context_.send_raw(kMasterTask, tag, std::move(sealed));
+      return;
+    }
+  }
 }
 
-TransportFactory in_process_transport_factory() {
-  return [](Transport::WorkerBody body) {
-    return make_in_process_transport(std::move(body));
-  };
+InProcessTransport::InProcessTransport(WorkerBody body)
+    : body_(std::move(body)) {
+  LDGA_EXPECTS(body_ != nullptr);
+}
+
+InProcessTransport::~InProcessTransport() {
+  {
+    std::lock_guard lock(mutex_);
+    shutting_down_ = true;
+  }
+  vm_.halt();
+}
+
+TaskId InProcessTransport::spawn_worker() {
+  const TaskId id =
+      vm_.spawn([this](TaskContext& context) { run_worker(context); });
+  std::lock_guard lock(mutex_);
+  workers_.try_emplace(id);
+  return id;
+}
+
+void InProcessTransport::send_to_worker(TaskId worker, std::int32_t tag,
+                                        Packer payload) {
+  {
+    std::lock_guard lock(mutex_);
+    const auto it = workers_.find(worker);
+    if (it == workers_.end()) {
+      throw TransportError("send to unknown worker " +
+                           std::to_string(worker));
+    }
+    if (it->second.exited || it->second.retired) {
+      throw TransportClosed("worker " + std::to_string(worker) +
+                            " is gone");
+    }
+  }
+  master_.send(worker, tag, std::move(payload));
+}
+
+Message InProcessTransport::receive() {
+  try {
+    return master_.receive();
+  } catch (const WireProtocolError& e) {
+    return corrupt_frame_message(e);
+  }
+}
+
+std::optional<Message> InProcessTransport::receive_for(
+    std::chrono::milliseconds timeout) {
+  try {
+    return master_.receive_for(timeout);
+  } catch (const WireProtocolError& e) {
+    return corrupt_frame_message(e);
+  }
+}
+
+void InProcessTransport::retire_worker(TaskId worker) {
+  {
+    std::lock_guard lock(mutex_);
+    const auto it = workers_.find(worker);
+    if (it == workers_.end()) return;
+    it->second.retired = true;
+  }
+  // Unblocks the worker's pending receive with TransportClosed; the
+  // thread then returns and is joined at halt().
+  vm_.close_mailbox(worker);
+}
+
+void InProcessTransport::run_worker(TaskContext& context) {
+  WorkerChannel channel(context);
+  std::string reason;
+  bool graceful = false;
+  try {
+    // Each worker runs its own copy of the body: worker closures may
+    // carry mutable by-value state (e.g. evaluation scratch arenas)
+    // that must not be shared across slave threads.
+    WorkerBody body = body_;
+    body(channel);
+    graceful = true;
+  } catch (const TransportClosed&) {
+    graceful = true;  // machine halting or worker retired
+  } catch (const WorkerTerminated& killed) {
+    reason = killed.reason;
+  } catch (const std::exception& e) {
+    reason = std::string("worker body threw: ") + e.what();
+  } catch (...) {
+    reason = "worker body threw a non-exception";
+  }
+  bool announce = !graceful;
+  {
+    std::lock_guard lock(mutex_);
+    auto& state = workers_[context.id()];
+    state.exited = true;
+    announce = announce && !state.retired && !shutting_down_;
+  }
+  if (announce) {
+    try {
+      Packer packer;
+      packer.pack_string(reason);
+      context.send(kMasterTask, transport_tag::kWorkerLost,
+                   std::move(packer));
+    } catch (const ParallelError&) {
+      // Master mailbox already closed; nobody left to tell.
+    }
+  }
 }
 
 }  // namespace ldga::parallel

@@ -1,64 +1,57 @@
-// The message layer under the master/slave farm, factored out so the
-// same farm logic can run over in-process mailboxes or over sockets to
-// forked worker processes (PR 6; ROADMAP "real transport").
+// The message layer under the master/slave farm: slaves are
+// VirtualMachine threads, messages travel through sealed in-process
+// mailboxes.
 //
-// The split mirrors PVM's API surface: Transport is the master's view
-// (pvm_spawn / pvm_send / pvm_recv over the whole worker set),
-// WorkerChannel is the slave's view (pvm_send / pvm_recv against the
-// master only). Both speak Message values whose payloads are plain
-// Packer bytes — sealing/framing/checksumming is the transport's
-// business, invisible above this interface.
+// The split mirrors PVM's API surface: InProcessTransport is the
+// master's view (pvm_spawn / pvm_send / pvm_recv over the whole worker
+// set), WorkerChannel is the slave's view (pvm_send / pvm_recv against
+// the master only). Both speak Message values whose payloads are plain
+// Packer bytes — sealing and checksumming happen in TaskContext,
+// invisible above this interface.
 //
-// Fault model: a transport never throws out of receive() because a
-// *worker* misbehaved. Worker death, dropped connections, and corrupt
-// frames are turned into control messages (transport_tag below) so the
-// farm can requeue, quarantine, and respawn; exceptions out of
-// transport calls mean the transport itself is unusable.
+// Fault model: the transport never throws out of receive() because a
+// *worker* misbehaved. Worker death and corrupt replies are turned into
+// control messages (transport_tag below) so the farm can requeue,
+// quarantine, and respawn; exceptions out of transport calls mean the
+// transport itself is unusable.
 #pragma once
 
 #include <chrono>
 #include <functional>
-#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
+#include <unordered_map>
 
 #include "parallel/message.hpp"
 #include "parallel/transport_error.hpp"
+#include "parallel/virtual_machine.hpp"
 
 namespace ldga::parallel {
 
-/// Control tags synthesized by transports (and the heartbeat emitted by
-/// socket workers). Negative so they can never collide with a
-/// protocol's own tags (the farm uses small positive ones) or with the
-/// kAnyTag (-1) wildcard.
+/// Control tags synthesized by the transport. Negative so they can
+/// never collide with a protocol's own tags (the farm uses small
+/// positive ones) or with the kAnyTag (-1) wildcard.
 namespace transport_tag {
-/// Periodic liveness signal from an idle socket worker; empty payload.
-inline constexpr std::int32_t kHeartbeat = -100;
-/// The worker is gone (crashed, killed, disconnected, or its body
-/// threw). Payload: one packed string describing why. Synthesized by
-/// the transport, at most once per worker incarnation.
+/// The worker is gone (killed, disconnected, or its body threw).
+/// Payload: one packed string describing why. Synthesized at most once
+/// per worker incarnation.
 inline constexpr std::int32_t kWorkerLost = -101;
-/// A frame from the worker failed its integrity check. Payload: one
-/// packed string with the decoder's complaint. Over a socket the
-/// stream is unrecoverable, so kWorkerLost follows; in-process the
-/// worker is still healthy and may be sent further work.
+/// A reply from the worker failed its integrity check. Payload: one
+/// packed string with the complaint. Only the one message was damaged;
+/// the worker is still healthy and may be sent further work.
 inline constexpr std::int32_t kCorruptFrame = -102;
-/// First frame a TCP worker sends so the master can match the inbound
-/// connection to the spawned process. Never seen above the transport.
-inline constexpr std::int32_t kHello = -103;
 }  // namespace transport_tag
 
 /// How a worker's outgoing message should be sabotaged — the hook the
 /// fault injector's transport faults ride on.
 enum class FrameFault : std::uint8_t {
   kNone,
-  kDrop,     ///< never put the frame on the wire
+  kDrop,     ///< never deliver the message
   kCorrupt,  ///< flip a payload bit after sealing, breaking the CRC
 };
 
-/// Thrown by WorkerChannel::die on thread-backed transports to unwind
-/// the worker body (process-backed channels _exit instead). Not a
+/// Thrown by WorkerChannel::die to unwind the worker body. Not a
 /// std::exception subclass on purpose: it must fly past the worker
 /// loop's catch-and-report-error handling.
 struct WorkerTerminated {
@@ -68,81 +61,81 @@ struct WorkerTerminated {
 /// A worker's endpoint: talk to the master, nothing else.
 class WorkerChannel {
  public:
-  virtual ~WorkerChannel() = default;
-
-  virtual TaskId id() const = 0;
+  explicit WorkerChannel(TaskContext& context) : context_(context) {}
 
   /// Sends one message to the master. Throws TransportClosed when the
   /// master is gone (worker should exit quietly).
-  virtual void send_to_master(std::int32_t tag, Packer payload,
-                              FrameFault fault = FrameFault::kNone) = 0;
+  void send_to_master(std::int32_t tag, Packer payload,
+                      FrameFault fault = FrameFault::kNone);
 
   /// Blocks for the next message from the master. Throws
-  /// TransportClosed on shutdown or a dropped connection.
-  virtual Message receive_from_master() = 0;
+  /// TransportClosed on shutdown or retirement.
+  Message receive_from_master() { return context_.receive(kMasterTask); }
 
   /// Dies abruptly, mid-protocol, without a goodbye — the injected
-  /// "kill -9" fault. A process worker _exits; a thread worker unwinds
-  /// via WorkerTerminated. Either way the master learns of it only
-  /// through the transport's kWorkerLost.
-  [[noreturn]] virtual void die(const std::string& reason) = 0;
+  /// "kill -9" fault. The master learns of it only through kWorkerLost.
+  [[noreturn]] void die(const std::string& reason) {
+    throw WorkerTerminated{reason};
+  }
 
-  /// Drops the connection to the master, then dies. Distinct from die()
-  /// on sockets (FIN instead of a vanished process) but equally fatal.
-  [[noreturn]] virtual void disconnect() = 0;
+  /// Drops the connection to the master; as fatal as die(), announced
+  /// with its own reason.
+  [[noreturn]] void disconnect() { die("worker disconnected"); }
+
+ private:
+  TaskContext& context_;
 };
 
 /// The master's endpoint: spawn workers, address them by TaskId,
 /// receive from any of them.
-class Transport {
+class InProcessTransport {
  public:
-  /// The code a worker runs, identical across transports. In-process it
-  /// runs on a spawned thread; over sockets it runs in a forked child.
+  /// The code every worker runs, on its own VirtualMachine thread.
   using WorkerBody = std::function<void(WorkerChannel&)>;
 
-  virtual ~Transport() = default;
+  explicit InProcessTransport(WorkerBody body);
+  ~InProcessTransport();
 
-  /// Starts one worker running the body; returns its address. Throws
-  /// SpawnError when the worker cannot be started.
-  virtual TaskId spawn_worker() = 0;
+  InProcessTransport(const InProcessTransport&) = delete;
+  InProcessTransport& operator=(const InProcessTransport&) = delete;
+
+  /// Starts one worker running the body; returns its address.
+  TaskId spawn_worker();
 
   /// Sends one message to a worker. Throws TransportClosed when that
   /// worker is known to be gone or retired; the caller should treat the
-  /// worker as lost (the transport will not synthesize kWorkerLost for
-  /// a failed send — the sender already knows).
-  virtual void send_to_worker(TaskId worker, std::int32_t tag,
-                              Packer payload) = 0;
+  /// worker as lost (no kWorkerLost is synthesized for a failed send —
+  /// the sender already knows). Throws TransportError for an id that
+  /// was never spawned.
+  void send_to_worker(TaskId worker, std::int32_t tag, Packer payload);
 
-  /// Blocks for the next message from any worker (results, heartbeats,
-  /// and the control tags above).
-  virtual Message receive() = 0;
+  /// Blocks for the next message from any worker (results and the
+  /// control tags above).
+  Message receive();
 
   /// As receive(), but gives up after `timeout`; empty on timeout.
-  virtual std::optional<Message> receive_for(
-      std::chrono::milliseconds timeout) = 0;
+  std::optional<Message> receive_for(std::chrono::milliseconds timeout);
 
-  /// True while the worker is believed able to accept and answer work.
-  virtual bool worker_alive(TaskId worker) const = 0;
+  /// Force-retires a worker: its mailbox is closed, no kWorkerLost will
+  /// be synthesized for it, and sends to it fail. Idempotent; unknown
+  /// ids are ignored. Used for quarantine and for workers declared dead
+  /// by deadline.
+  void retire_worker(TaskId worker);
 
-  /// Force-retires a worker: its connection/mailbox is closed, no
-  /// kWorkerLost will be synthesized for it, and sends to it fail.
-  /// Idempotent; unknown ids are ignored. Used for quarantine and for
-  /// workers declared dead by deadline.
-  virtual void retire_worker(TaskId worker) = 0;
+ private:
+  struct WorkerState {
+    bool exited = false;
+    bool retired = false;
+  };
 
-  virtual std::string_view name() const = 0;
+  void run_worker(TaskContext& context);
+
+  VirtualMachine vm_;
+  TaskContext master_ = vm_.master_context();
+  WorkerBody body_;
+  std::mutex mutex_;
+  std::unordered_map<TaskId, WorkerState> workers_;
+  bool shutting_down_ = false;
 };
-
-/// Builds a transport given the body its workers will run; what the
-/// farm (and the evaluation backends above it) take as configuration.
-using TransportFactory =
-    std::function<std::unique_ptr<Transport>(Transport::WorkerBody)>;
-
-/// Workers are VirtualMachine threads; messages travel through sealed
-/// in-process mailboxes. The default, and the fastest.
-std::unique_ptr<Transport> make_in_process_transport(
-    Transport::WorkerBody body);
-
-TransportFactory in_process_transport_factory();
 
 }  // namespace ldga::parallel

@@ -1,16 +1,15 @@
 // Typed errors of the transport layer. Separate from transport.hpp so
-// low-level modules (frame codec, virtual machine) can throw them
-// without depending on the Transport interface itself.
+// low-level modules (payload sealing, mailboxes, virtual machine) can
+// throw them without depending on the transport itself.
 //
 // Hierarchy (all recoverable, all under ParallelError so existing farm
 // catch sites keep working):
 //   TransportError        — any transport-layer failure
 //   ├─ TransportClosed    — endpoint shut down (send/receive after close)
-//   ├─ FrameError         — a frame or sealed payload failed its
-//   │                       magic / protocol-version / CRC-32 check
-//   ├─ WireProtocolError  — FrameError with the offending peer attached
-//   │                       (thrown where the source task is known)
-//   └─ SpawnError         — a worker process/thread could not be started
+//   └─ FrameError         — a sealed payload failed its
+//      │                    protocol-version / CRC-32 check
+//      └─ WireProtocolError — FrameError with the offending peer attached
+//                           (thrown where the source task is known)
 #pragma once
 
 #include <string>
@@ -46,11 +45,6 @@ class WireProtocolError : public FrameError {
  private:
   TaskId source_;
   std::int32_t tag_;
-};
-
-class SpawnError : public TransportError {
- public:
-  explicit SpawnError(const std::string& what) : TransportError(what) {}
 };
 
 }  // namespace ldga::parallel

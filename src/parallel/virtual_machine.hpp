@@ -26,9 +26,9 @@ class VirtualMachine;
 ///
 /// Every payload is sealed (protocol-version byte + CRC-32, frame.hpp)
 /// by send and verified by the receive family, so even the
-/// thread-mailbox path follows the same wire-integrity discipline as
-/// the socket transport: a corrupted payload surfaces as a typed
-/// WireProtocolError naming the offending peer, never a silent misread.
+/// thread-mailbox path follows a wire-integrity discipline: a corrupted
+/// payload surfaces as a typed WireProtocolError naming the offending
+/// peer, never a silent misread.
 class TaskContext {
  public:
   TaskId id() const { return id_; }
@@ -84,7 +84,7 @@ class VirtualMachine {
   /// Closes one task's mailbox: its blocked receives throw
   /// TransportClosed and later sends to it fail. The thread itself
   /// keeps running until it next touches its mailbox — the transport
-  /// layer uses this to retire a hung or faulty worker without waiting
+  /// uses this to retire a hung or faulty worker without waiting
   /// for it.
   void close_mailbox(TaskId id);
 

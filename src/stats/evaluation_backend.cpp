@@ -215,16 +215,13 @@ class FarmBackend final : public EvaluationBackend {
   FarmBackend(const HaplotypeEvaluator& evaluator, BackendOptions options)
       : farm_(resolve_workers(options.workers),
               // Each slave owns a copy of this worker (the transport
-              // copies it per worker — or the fork duplicates it), so
-              // the mutable by-value scratch is a per-slave arena.
+              // copies it per worker), so the mutable by-value scratch
+              // is a per-slave arena.
               [ev = &evaluator,
                scratch = EvalScratch{}](const Candidate& candidate) mutable {
                 return ev->fitness_and_cache(candidate, scratch);
               },
-              options.farm_policy, std::move(options.fault_injector),
-              options.transport == FarmTransport::kSocket
-                  ? parallel::socket_transport_factory(options.socket)
-                  : parallel::TransportFactory{}) {}
+              options.farm_policy, std::move(options.fault_injector)) {}
 
   std::vector<double> evaluate_batch(
       std::span<const Candidate> batch) override {

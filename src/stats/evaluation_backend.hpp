@@ -29,7 +29,6 @@
 
 #include "parallel/farm_policy.hpp"
 #include "parallel/fault_injection.hpp"
-#include "parallel/socket_transport.hpp"
 #include "parallel/thread_pool.hpp"
 #include "stats/evaluator.hpp"
 
@@ -37,12 +36,6 @@ namespace ldga::stats {
 
 /// A candidate haplotype: sorted, distinct SNP indices.
 using Candidate = std::vector<genomics::SnpIndex>;
-
-/// Message layer under the farm backend (ignored by serial / pool).
-enum class FarmTransport {
-  kInProcess,  ///< VirtualMachine threads + sealed mailboxes (default)
-  kSocket,     ///< forked worker processes + checksummed socket frames
-};
 
 /// Construction-time knobs shared by every backend factory.
 struct BackendOptions {
@@ -64,12 +57,6 @@ struct BackendOptions {
   /// Deterministic fault injection, consulted per (phase, task) attempt
   /// by every backend. Null = no faults.
   std::shared_ptr<parallel::FaultInjector> fault_injector;
-  /// Farm backend only: run the slaves in-process or as supervised
-  /// worker processes over sockets. Either way evaluate_batch returns
-  /// the identical fitness vector — the transport is invisible above
-  /// this option.
-  FarmTransport transport = FarmTransport::kInProcess;
-  parallel::SocketTransportConfig socket;
 };
 
 class EvaluationBackend {

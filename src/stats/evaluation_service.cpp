@@ -154,7 +154,6 @@ struct EvaluationStream::Lane {
   static BackendOptions lane_options(const EvaluationStreamConfig& config) {
     BackendOptions options = config.backend;
     options.workers = 1;
-    options.transport = FarmTransport::kInProcess;
     options.pool = nullptr;
     return options;
   }

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/error.hpp"
@@ -87,6 +88,16 @@ std::vector<std::string> CliArgs::unused() const {
     if (!queried_.count(name)) names.push_back(name);
   }
   return names;
+}
+
+void CliArgs::reject_unknown(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, value] : named_) {
+    (void)value;
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      throw ConfigError("cli: unknown flag --" + name);
+    }
+  }
 }
 
 }  // namespace ldga

@@ -4,8 +4,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ldga {
@@ -30,6 +32,11 @@ class CliArgs {
   /// Flags that were parsed but never queried; call after all get()s to
   /// reject typos. (Returns names without the leading "--".)
   std::vector<std::string> unused() const;
+
+  /// Throws ConfigError naming the first parsed flag that is not in
+  /// `known`. Call before doing any work, so a typo or a retired flag
+  /// stops the run instead of being silently ignored.
+  void reject_unknown(std::initializer_list<std::string_view> known) const;
 
  private:
   std::map<std::string, std::string> named_;  // "" value = boolean flag

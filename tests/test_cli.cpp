@@ -67,6 +67,17 @@ TEST(Cli, UnusedFlagsAreReported) {
   EXPECT_EQ(unused[0], "typo");
 }
 
+TEST(Cli, RejectUnknownNamesTheStrayFlag) {
+  const auto args = parse({"--known", "1", "--typo", "2"});
+  EXPECT_NO_THROW(args.reject_unknown({"known", "typo"}));
+  try {
+    args.reject_unknown({"known"});
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("--typo"), std::string::npos);
+  }
+}
+
 TEST(Cli, HasMarksQueried) {
   const auto args = parse({"--present"});
   EXPECT_TRUE(args.has("present"));

@@ -279,8 +279,8 @@ int soak_repetitions() {
 }
 
 TEST(IslandEngineChaos, FindsThePlantedPairUnderStragglerChaos) {
-  // The async engine's chaos acceptance (scripts/check.sh
-  // --transport=socket regex, CI chaos job plain + TSan): under the
+  // The async engine's chaos acceptance (scripts/check.sh --soak
+  // regex, CI farm-chaos job plain + TSan): under the
   // heavy-tailed straggler schedule plus injected throws, the islands
   // must still converge to the planted haplotype — chaos may cost
   // time, never the destination. LDGA_CHAOS_SOAK=1 repeats the run
